@@ -7,7 +7,7 @@
 //! runs must agree *bit for bit* — same metrics fingerprint, same event
 //! trace digest — whether they execute serially or on worker threads.
 
-use bench::runner::{run, run_many, Scenario, SystemKind};
+use bench::runner::{run, run_many, RunOut, Scenario, SystemKind};
 use bench::sharded::{run_sharded, run_split, ShardScenario, ShardSystem};
 use simnet::{ChaosGen, FaultPlan, FaultTarget, SimDuration, SimTime};
 
@@ -333,6 +333,78 @@ fn e11_jsonl_artifact_is_byte_identical_across_runs() {
         "E11 JSONL artifacts diverge across same-seed runs"
     );
     assert_eq!(a.tables.len(), 3);
+}
+
+/// `(completed, metrics_fingerprint, trace_digest, event_digest,
+/// event_count)` of one run.
+type Digests = (u64, u64, u64, u64, u64);
+
+fn digests(out: &RunOut) -> Digests {
+    (
+        out.completed,
+        out.metrics_fingerprint(),
+        out.trace_digest,
+        out.event_digest,
+        out.event_count,
+    )
+}
+
+/// Literal digests recorded once and compared on every later commit. Every
+/// other test here compares a run with itself; this one pins behaviour
+/// *across* commits, so a refactor of the harness or the protocol that
+/// claims "no behaviour change" must leave every row untouched. All five
+/// values repeat to the bit across fresh processes. A trace digest of
+/// `0xcbf29ce484222325` is the FNV-1a offset basis: that system writes no
+/// trace lines.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, Digests)] = &[
+    ("scenario / static-paxos", (14737, 0x4fcf09cc3dd62e63, 0xcbf29ce484222325, 0xaff75eb6973bdcc5, 606703)),
+    ("scenario / rsmr (spec)", (14732, 0xf1d4022869c241d, 0xd37b7184bb7e59d4, 0xc503e82dd4167a88, 607822)),
+    ("scenario / rsmr (no-spec)", (13000, 0x23aa41ba5e8c05aa, 0xda936c3b8901ff28, 0x4182d64cd7b9ebfe, 551936)),
+    ("scenario / rsmr (batched)", (12248, 0xe4c769e440e951e5, 0x30d71ed916e043c8, 0xddf0a8cb9ae899e8, 363448)),
+    ("scenario / stop-the-world", (11761, 0xb42ecb027d1545f6, 0xcbf29ce484222325, 0x492e63115c32293f, 502626)),
+    ("scenario / raft-lite", (14540, 0x201de8e912c3f089, 0xcbf29ce484222325, 0xfe0504115ad73500, 513879)),
+    ("chaos / static-paxos", (6155, 0x823e6ab51c38ce5a, 0xcbf29ce484222325, 0xf011efcd7026484e, 284447)),
+    ("chaos / rsmr (spec)", (9987, 0xd989b44bb62e1a6c, 0x60d1e92b9290276b, 0x8b3be4e36b72667b, 420167)),
+    ("chaos / rsmr (no-spec)", (9996, 0x8304af6c077735fd, 0x959621121ef4419d, 0x134661de259a0ec6, 414612)),
+    ("chaos / rsmr (batched)", (8248, 0x8803db4559c3405c, 0x8f35549637f52e99, 0x80f57945eb1bc195, 255214)),
+    ("chaos / stop-the-world", (4521, 0x72009aff7ab54f77, 0xcbf29ce484222325, 0x465f9c39c626d847, 197035)),
+    ("chaos / raft-lite", (6148, 0xd68b63157c27de9a, 0xcbf29ce484222325, 0x7206f230f5010f17, 228828)),
+    ("sharded / rsmr-sharded", (1496, 0x28b80aa05c69e00d, 0x8a13bd196d6bb756, 0xd9e0c92b7eee0c2a, 56613)),
+    ("sharded / stw-sharded", (1218, 0xba38ac1911b9e105, 0xcbf29ce484222325, 0x5416ab6073b5285f, 49937)),
+];
+
+#[test]
+fn golden_digests_are_unchanged() {
+    let jobs: Vec<(SystemKind, Scenario)> = SYSTEMS
+        .iter()
+        .map(|&k| (k, scenario()))
+        .chain(SYSTEMS.iter().map(|&k| (k, chaos_scenario())))
+        .collect();
+    let labels = SYSTEMS
+        .iter()
+        .map(|k| format!("scenario / {}", k.name()))
+        .chain(SYSTEMS.iter().map(|k| format!("chaos / {}", k.name())));
+    let mut actual: Vec<(String, Digests)> =
+        labels.zip(run_many(jobs).iter().map(digests)).collect();
+    for kind in [ShardSystem::Rsmr, ShardSystem::Stw] {
+        let out = run_sharded(kind, &sharded_scenario());
+        actual.push((format!("sharded / {}", kind.name()), digests(&out.run)));
+    }
+    let expected: Vec<(String, Digests)> =
+        GOLDEN.iter().map(|(l, d)| (l.to_string(), *d)).collect();
+    let table: String = actual
+        .iter()
+        .map(|(l, (c, m, t, e, n))| format!("    (\"{l}\", ({c}, {m:#x}, {t:#x}, {e:#x}, {n})),\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "simulation behaviour changed: the golden digests no longer match.\n\
+         A change meant to be behaviour-neutral (a refactor, a pure \
+         optimisation) must keep every row; find what moved. A change that \
+         alters behaviour on purpose re-records `GOLDEN` with these rows and \
+         says why in its description:\n{table}"
+    );
 }
 
 #[test]
