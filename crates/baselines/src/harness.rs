@@ -1,7 +1,7 @@
 //! Ready-made world actors for the baseline systems (mirrors
 //! `rsmr_core::harness::World`).
 
-use rsmr_core::client::{AdminActor, OpenLoopClient, RsmrClient};
+use rsmr_core::client::{AdminActor, RsmrClient};
 use rsmr_core::messages::RsmrMsg;
 use rsmr_core::state_machine::StateMachine;
 use simnet::{Actor, Context, NodeId, Timer};
@@ -20,8 +20,6 @@ pub enum StwWorld<S: StateMachine> {
     Server(StwNode<S>),
     /// A closed-loop client.
     Client(RsmrClient<S>),
-    /// A paced client.
-    Paced(OpenLoopClient<S>),
     /// The admin.
     Admin(AdminActor<S>),
 }
@@ -43,11 +41,10 @@ impl<S: StateMachine> StwWorld<S> {
         }
     }
 
-    /// Requests completed, for either client flavour.
+    /// Requests completed (clients only).
     pub fn completed(&self) -> u64 {
         match self {
             StwWorld::Client(c) => c.completed(),
-            StwWorld::Paced(c) => c.completed(),
             _ => 0,
         }
     }
@@ -60,7 +57,6 @@ impl<S: StateMachine> Actor for StwWorld<S> {
         match self {
             StwWorld::Server(a) => a.on_start(ctx),
             StwWorld::Client(a) => a.on_start(ctx),
-            StwWorld::Paced(a) => a.on_start(ctx),
             StwWorld::Admin(a) => a.on_start(ctx),
         }
     }
@@ -68,7 +64,6 @@ impl<S: StateMachine> Actor for StwWorld<S> {
         match self {
             StwWorld::Server(a) => a.on_message(ctx, from, msg),
             StwWorld::Client(a) => a.on_message(ctx, from, msg),
-            StwWorld::Paced(a) => a.on_message(ctx, from, msg),
             StwWorld::Admin(a) => a.on_message(ctx, from, msg),
         }
     }
@@ -76,7 +71,6 @@ impl<S: StateMachine> Actor for StwWorld<S> {
         match self {
             StwWorld::Server(a) => a.on_timer(ctx, timer),
             StwWorld::Client(a) => a.on_timer(ctx, timer),
-            StwWorld::Paced(a) => a.on_timer(ctx, timer),
             StwWorld::Admin(a) => a.on_timer(ctx, timer),
         }
     }

@@ -1,8 +1,8 @@
 //! # bench — the experiment harness
 //!
 //! Shared machinery for reproducing every table and figure of the
-//! evaluation (`EXPERIMENTS.md`): scenario definitions, one runner per
-//! system, metric extraction and table formatting.
+//! evaluation (`EXPERIMENTS.md`): scenario definitions, one generic driver
+//! over a per-system trait, metric extraction and table formatting.
 //!
 //! The five system variants (see `DESIGN.md` §5):
 //!

@@ -1,4 +1,5 @@
-//! Scenario definitions and per-system runners.
+//! Scenario definitions, the `System` trait every system under test
+//! implements, and the generic driver that runs a scenario on one.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,12 +10,14 @@ use baselines::{
 use consensus::actor::{ReplicaActor, SmrClient, SmrMsg};
 use consensus::{PaxosTunables, StaticConfig};
 use kvstore::{HistoryOp, KeyDist, KvOp, KvOutput, KvStore, WorkloadGen};
+use rsmr_core::client::HistoryEntry;
 use rsmr_core::harness::World;
 use rsmr_core::{AdminActor, InvariantObserver, RsmrClient, RsmrNode, RsmrTunables};
 use simnet::observe::shared;
 use simnet::{
     Actor, ChaosDriver, Context, EventDigest, FaultPlan, FaultTarget, LatencyModel,
-    LifecycleCoverage, Metrics, NetConfig, NodeId, Sim, SimDuration, SimTime, Spans, Timer,
+    LifecycleCoverage, Metrics, NetConfig, NodeId, Sim, SimDuration, SimTime, Spans, StableStore,
+    Timer,
 };
 
 /// Which system a scenario runs on.
@@ -325,24 +328,23 @@ impl Scenario {
         }
     }
 
-    fn admin_script(&self) -> Vec<(SimTime, Vec<NodeId>)> {
+    fn admin_script(&self) -> AdminScript {
         self.script
             .iter()
             .map(|(at, ids)| (*at, ids.iter().map(|&i| NodeId(i)).collect()))
             .collect()
     }
 
-    /// Server-side fault targets: genesis servers plus joiners, in id order.
-    /// `FaultTarget::ServerIdx(k)` indexes into this pool.
-    fn chaos_pool(&self) -> Vec<NodeId> {
-        let mut pool = self.server_ids();
-        pool.extend(self.joiners.iter().map(|&j| NodeId(j)));
-        pool
+    /// Genesis servers plus joiners, in id order: every replica id.
+    fn replica_ids(&self) -> Vec<NodeId> {
+        let mut ids = self.server_ids();
+        ids.extend(self.joiners.iter().map(|&j| NodeId(j)));
+        ids
     }
 
     /// Every node a partition or degradation window severs the target from.
     fn chaos_scope(&self) -> Vec<NodeId> {
-        let mut scope = self.chaos_pool();
+        let mut scope = self.replica_ids();
         scope.extend(self.client_ids());
         if !self.script.is_empty() {
             scope.push(ADMIN);
@@ -351,136 +353,95 @@ impl Scenario {
     }
 }
 
-/// Resolves the system-independent fault targets (`Node`, `ServerIdx`,
-/// `Joiner`); returns `None` for the role targets a runner must resolve
-/// against its own actors.
-pub(crate) fn resolve_common(
-    pool: &[NodeId],
-    joiners: &[NodeId],
-    t: &FaultTarget,
-) -> Option<Option<NodeId>> {
-    match t {
-        FaultTarget::Node(n) => Some(Some(*n)),
-        FaultTarget::ServerIdx(k) => Some(pool.get((*k as usize) % pool.len().max(1)).copied()),
-        FaultTarget::Joiner => Some(joiners.first().copied()),
-        FaultTarget::CurrentLeader | FaultTarget::TransferDonor => None,
-    }
-}
-
 pub(crate) const ADMIN: NodeId = NodeId(99);
 
-/// The structured-event observers a runner installs when
-/// `Scenario::record_events` is set: a stream digest plus the span
-/// aggregator. `finish` hands their final state to [`RunOut`].
-pub(crate) struct EventProbes {
-    digest: Option<Rc<RefCell<EventDigest>>>,
-    spans: Option<Rc<RefCell<Spans>>>,
-    lifecycle: Option<Rc<RefCell<LifecycleCoverage>>>,
+/// Digest, span aggregator and lifecycle coverage over the structured
+/// event stream.
+type EventProbes = (
+    Rc<RefCell<EventDigest>>,
+    Rc<RefCell<Spans>>,
+    Rc<RefCell<LifecycleCoverage>>,
+);
+
+/// What a driver observes a run with, each part only when the scenario
+/// asks for it: the event trace, the structured-event probes and a
+/// collecting [`InvariantObserver`]. [`Observers::finish`] drains them
+/// into a [`RunOut`].
+pub(crate) struct Observers {
+    events: Option<EventProbes>,
+    invariants: Option<Rc<RefCell<InvariantObserver>>>,
 }
 
-/// What the probes saw, for [`RunOut`].
-pub(crate) struct ProbeOut {
-    pub(crate) event_digest: u64,
-    pub(crate) event_count: u64,
-    pub(crate) digest_prefixes: Vec<(u64, u64)>,
-    pub(crate) lifecycle_signature: u64,
-    pub(crate) spans: Option<Spans>,
-}
-
-impl EventProbes {
-    pub(crate) fn install<A: Actor>(sim: &mut Sim<A>, enabled: bool) -> Self {
-        if !enabled {
-            return EventProbes {
-                digest: None,
-                spans: None,
-                lifecycle: None,
-            };
+impl Observers {
+    /// Installs on `sim` the observers the three flags ask for.
+    pub(crate) fn install<A: Actor>(
+        sim: &mut Sim<A>,
+        trace: bool,
+        events: bool,
+        invariants: bool,
+    ) -> Self {
+        if trace {
+            sim.enable_trace();
         }
-        let digest = shared(EventDigest::new());
-        let spans = shared(Spans::new());
-        let lifecycle = shared(LifecycleCoverage::new());
-        sim.add_observer(digest.clone());
-        sim.add_observer(spans.clone());
-        sim.add_observer(lifecycle.clone());
-        EventProbes {
-            digest: Some(digest),
-            spans: Some(spans),
-            lifecycle: Some(lifecycle),
-        }
+        let events = events.then(|| {
+            let probes = (
+                shared(EventDigest::new()),
+                shared(Spans::new()),
+                shared(LifecycleCoverage::new()),
+            );
+            sim.add_observer(probes.0.clone());
+            sim.add_observer(probes.1.clone());
+            sim.add_observer(probes.2.clone());
+            probes
+        });
+        let invariants = invariants.then(|| {
+            let inv = shared(InvariantObserver::new());
+            sim.add_observer(inv.clone());
+            inv
+        });
+        Observers { events, invariants }
     }
 
-    pub(crate) fn finish(self) -> ProbeOut {
-        match (self.digest, self.spans, self.lifecycle) {
-            (Some(d), Some(s), Some(l)) => {
-                let d = d.borrow();
-                ProbeOut {
-                    event_digest: d.value(),
-                    event_count: d.count(),
-                    digest_prefixes: d.prefix_digests().to_vec(),
-                    lifecycle_signature: l.borrow().signature(),
-                    spans: Some(s.borrow().clone()),
-                }
-            }
-            _ => ProbeOut {
-                event_digest: 0,
-                event_count: 0,
-                digest_prefixes: Vec::new(),
-                lifecycle_signature: 0,
-                spans: None,
-            },
+    /// Drains one finished simulation into a [`RunOut`]. The metrics sink
+    /// is moved out of the simulator rather than cloned — at the end of a
+    /// long run it holds every counter, timeline and histogram map, and
+    /// the sim is about to be dropped anyway.
+    pub(crate) fn finish<A: Actor>(
+        self,
+        sim: &mut Sim<A>,
+        horizon: SimTime,
+        chaos_log: Vec<(SimTime, String)>,
+        completed: u64,
+        admin: Vec<(SimTime, SimTime)>,
+        histories: Vec<HistoryOp<KvOp, KvOutput>>,
+    ) -> RunOut {
+        let mut out = RunOut {
+            completed,
+            metrics: sim.take_metrics(),
+            admin,
+            horizon,
+            histories,
+            trace_digest: sim.trace().digest(),
+            event_digest: 0,
+            event_count: 0,
+            digest_prefixes: Vec::new(),
+            lifecycle_signature: 0,
+            spans: None,
+            invariant_violations: self
+                .invariants
+                .map(|o| o.borrow().violations().to_vec())
+                .unwrap_or_default(),
+            chaos_log,
+        };
+        if let Some((digest, spans, lifecycle)) = self.events {
+            let digest = digest.borrow();
+            out.event_digest = digest.value();
+            out.event_count = digest.count();
+            out.digest_prefixes = digest.prefix_digests().to_vec();
+            out.lifecycle_signature = lifecycle.borrow().signature();
+            out.spans = Some(spans.borrow().clone());
         }
-    }
-}
-
-/// Installs a collecting [`InvariantObserver`] when the scenario asks for
-/// one; the handle is drained into [`RunOut::invariant_violations`].
-fn install_invariants<A: Actor>(
-    sim: &mut Sim<A>,
-    enabled: bool,
-) -> Option<Rc<RefCell<InvariantObserver>>> {
-    if !enabled {
-        return None;
-    }
-    let inv = shared(InvariantObserver::new());
-    sim.add_observer(inv.clone());
-    Some(inv)
-}
-
-fn finish_invariants(inv: Option<Rc<RefCell<InvariantObserver>>>) -> Vec<String> {
-    inv.map(|o| o.borrow().violations().to_vec())
-        .unwrap_or_default()
-}
-
-/// Drains one finished simulation into a [`RunOut`]. The metrics sink is
-/// moved out of the simulator rather than cloned — at the end of a long
-/// run it holds every counter, timeline and histogram map, and the sim
-/// is about to be dropped anyway.
-#[allow(clippy::too_many_arguments)]
-fn finish_run<A: Actor>(
-    sim: &mut Sim<A>,
-    sc: &Scenario,
-    probes: EventProbes,
-    inv: Option<Rc<RefCell<InvariantObserver>>>,
-    chaos_log: Vec<(SimTime, String)>,
-    completed: u64,
-    admin: Vec<(SimTime, SimTime)>,
-    histories: Vec<HistoryOp<KvOp, KvOutput>>,
-) -> RunOut {
-    let probe_out = probes.finish();
-    RunOut {
-        completed,
-        metrics: sim.take_metrics(),
-        admin,
-        horizon: sc.horizon,
-        histories,
-        trace_digest: sim.trace().digest(),
-        event_digest: probe_out.event_digest,
-        event_count: probe_out.event_count,
-        digest_prefixes: probe_out.digest_prefixes,
-        lifecycle_signature: probe_out.lifecycle_signature,
-        spans: probe_out.spans,
-        invariant_violations: finish_invariants(inv),
-        chaos_log,
+        out
     }
 }
 
@@ -610,39 +571,13 @@ impl RunOut {
     }
 }
 
-/// Runs `scenario` on `kind` and extracts the results.
-pub fn run(kind: SystemKind, sc: &Scenario) -> RunOut {
-    match kind {
-        SystemKind::Static => run_static(sc),
-        SystemKind::Rsmr => run_rsmr(sc, true, 0),
-        SystemKind::RsmrNoSpec => run_rsmr(sc, false, 0),
-        SystemKind::RsmrBatched => {
-            // The batched composition defaults to in-core batching (64
-            // commands/slot, 1ms flush deadline, 8-slot window) unless the
-            // scenario pins its own points.
-            let mut sc = sc.clone();
-            if sc.batching.is_none() {
-                sc.batching = Some((64, 1, 8));
-            }
-            run_rsmr(&sc, true, 0)
-        }
-        SystemKind::Stw => run_stw(sc),
-        SystemKind::Raft => run_raft(sc),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Composed machine (speculation on/off)
-// ---------------------------------------------------------------------------
-
 /// Installs the scenario's fabric cap (if any): every pair of server and
 /// joiner ids gets a link override with the capped bandwidth and a
 /// serialized egress port. Client links are untouched.
-fn apply_fabric_cap<A: simnet::Actor>(sim: &mut Sim<A>, sc: &Scenario) {
+fn apply_fabric_cap<A: Actor>(sim: &mut Sim<A>, sc: &Scenario) {
     let Some(bw) = sc.fabric_cap else { return };
     let cfg = sc.net().with_bandwidth(Some(bw)).with_egress_queueing(true);
-    let mut ids = sc.server_ids();
-    ids.extend(sc.joiners.iter().map(|&j| NodeId(j)));
+    let ids = sc.replica_ids();
     for (i, &a) in ids.iter().enumerate() {
         for &b in &ids[i + 1..] {
             sim.set_link(a, b, cfg.clone());
@@ -655,7 +590,7 @@ fn apply_fabric_cap<A: simnet::Actor>(sim: &mut Sim<A>, sc: &Scenario) {
 /// exploration). A chaos window that later degrades one of these links
 /// resets it to the default on heal — acceptable, since the permutation's
 /// job is to diversify the pre-fault prefix.
-fn apply_delay_perm<A: simnet::Actor>(sim: &mut Sim<A>, sc: &Scenario) {
+fn apply_delay_perm<A: Actor>(sim: &mut Sim<A>, sc: &Scenario) {
     let Some(perm) = sc.delay_perm else { return };
     let ids = sc.server_ids();
     if ids.len() < 3 {
@@ -668,354 +603,311 @@ fn apply_delay_perm<A: simnet::Actor>(sim: &mut Sim<A>, sc: &Scenario) {
     }
 }
 
-fn run_rsmr(sc: &Scenario, fast_handoff: bool, batch_size: usize) -> RunOut {
-    let mut tun = RsmrTunables {
-        fast_handoff,
-        batch_size,
-        local_reads: sc.local_reads,
-        ..RsmrTunables::default()
-    };
-    if sc.local_reads {
-        tun.paxos.lease_duration = Some(SimDuration::from_millis(100));
+/// Runs `scenario` on `kind` and extracts the results.
+pub fn run(kind: SystemKind, sc: &Scenario) -> RunOut {
+    match kind {
+        SystemKind::Static => drive(StaticSystem(StaticConfig::new(sc.server_ids())), sc),
+        SystemKind::Rsmr => drive(RsmrSystem::new(sc, true, sc.batching), sc),
+        SystemKind::RsmrNoSpec => drive(RsmrSystem::new(sc, false, sc.batching), sc),
+        // The batched composition defaults to in-core batching (64
+        // commands/slot, 1ms flush deadline, 8-slot window) unless the
+        // scenario pins its own points.
+        SystemKind::RsmrBatched => drive(
+            RsmrSystem::new(sc, true, sc.batching.or(Some((64, 1, 8)))),
+            sc,
+        ),
+        SystemKind::Stw => drive(StwSystem::new(sc), sc),
+        SystemKind::Raft => drive(RaftSystem::new(sc), sc),
     }
-    if let Some((max_batch, max_delay_ms, window)) = sc.batching {
-        tun.paxos.max_batch = max_batch;
-        tun.paxos.max_delay = SimDuration::from_millis(max_delay_ms);
-        tun.paxos.window = window;
-    }
-    let mut sim: Sim<World<KvStore>> = Sim::new(sc.seed, sc.net());
-    apply_fabric_cap(&mut sim, sc);
-    apply_delay_perm(&mut sim, sc);
-    if sc.record_trace {
-        sim.enable_trace();
-    }
-    let probes = EventProbes::install(&mut sim, sc.record_events);
-    let inv = install_invariants(&mut sim, sc.check_invariants);
-    let servers = sc.server_ids();
-    let genesis = StaticConfig::new(servers.clone());
-    for &s in &servers {
-        sim.add_node_with_id(
-            s,
-            World::server(RsmrNode::genesis_with(
-                s,
-                genesis.clone(),
-                tun.clone(),
-                sc.initial_state(),
-            )),
-        );
-    }
-    for &j in &sc.joiners {
-        sim.add_node_with_id(
-            NodeId(j),
-            World::server(RsmrNode::joining(NodeId(j), tun.clone())),
-        );
-    }
-    if !sc.script.is_empty() {
-        sim.add_node_with_id(
-            ADMIN,
-            World::admin(AdminActor::new(servers.clone(), sc.admin_script())),
-        );
-    }
-    let pool = sc.chaos_pool();
-    let joiner_ids: Vec<NodeId> = sc.joiners.iter().map(|&j| NodeId(j)).collect();
-    let rebuild_tun = tun.clone();
-    let mut driver = ChaosDriver::new(
-        &sc.faults,
-        sc.chaos_scope(),
-        sc.net(),
-        |sim: &Sim<World<KvStore>>, t| {
-            if let Some(r) = resolve_common(&pool, &joiner_ids, t) {
-                return r;
-            }
-            let server = |s: NodeId| sim.actor(s).and_then(World::as_server);
-            match t {
-                FaultTarget::CurrentLeader => pool
-                    .iter()
-                    .copied()
-                    .find(|&s| server(s).map(|n| n.is_active_leader()).unwrap_or(false)),
-                FaultTarget::TransferDonor => pool
-                    .iter()
-                    .filter_map(|&s| server(s).and_then(|n| n.transfer_provider()))
-                    .next(),
-                _ => None,
-            }
-        },
-        move |sim: &Sim<World<KvStore>>, n| {
-            // A restart rebuilds the replica from its surviving stable
-            // store; a node that never anchored re-enters as a joiner.
-            World::server(
-                RsmrNode::recover(n, rebuild_tun.clone(), sim.storage(n))
-                    .unwrap_or_else(|| RsmrNode::joining(n, rebuild_tun.clone())),
-            )
-        },
-    );
-    driver.run_until(&mut sim, sc.client_start);
-    for (i, &c) in sc.client_ids().iter().enumerate() {
-        let mut client = RsmrClient::new(
-            servers.clone(),
-            sc.gen_for(i as u64).into_fn(),
-            sc.ops_per_client,
-        );
-        if sc.record_history {
-            client = client.with_history();
-        }
-        sim.add_node_with_id(c, World::client(client));
-    }
-    driver.run_until(&mut sim, sc.horizon);
-    let chaos_log = driver.applied().to_vec();
-    drop(driver);
-
-    let mut histories = Vec::new();
-    let mut completed = 0;
-    for &c in &sc.client_ids() {
-        if let Some(w) = sim.actor(c) {
-            completed += w.completed();
-            if let Some(cl) = w.as_client() {
-                for (_s, op, out, invoke, response) in cl.history() {
-                    histories.push(HistoryOp {
-                        process: c.0,
-                        invoke: *invoke,
-                        response: *response,
-                        input: op.clone(),
-                        output: out.clone(),
-                    });
-                }
-            }
-        }
-    }
-    let admin = sim
-        .actor(ADMIN)
-        .and_then(World::as_admin)
-        .map(|a| a.results().iter().map(|&(s, f, _)| (s, f)).collect())
-        .unwrap_or_default();
-    finish_run(
-        &mut sim, sc, probes, inv, chaos_log, completed, admin, histories,
-    )
 }
 
-// ---------------------------------------------------------------------------
-// Stop-the-world baseline
-// ---------------------------------------------------------------------------
+/// One admin's reconfiguration script: `(fire at, target members)` steps.
+pub(crate) type AdminScript = Vec<(SimTime, Vec<NodeId>)>;
 
-fn run_stw(sc: &Scenario) -> RunOut {
-    let mut tun = StwTunables::default();
-    if let Some((max_batch, max_delay_ms, window)) = sc.batching {
-        tun.paxos.max_batch = max_batch;
-        tun.paxos.max_delay = SimDuration::from_millis(max_delay_ms);
-        tun.paxos.window = window;
-    }
-    let mut sim: Sim<StwWorld<KvStore>> = Sim::new(sc.seed, sc.net());
-    apply_fabric_cap(&mut sim, sc);
-    apply_delay_perm(&mut sim, sc);
-    if sc.record_trace {
-        sim.enable_trace();
-    }
-    let probes = EventProbes::install(&mut sim, sc.record_events);
-    let inv = install_invariants(&mut sim, sc.check_invariants);
-    let servers = sc.server_ids();
-    let genesis = StaticConfig::new(servers.clone());
-    for &s in &servers {
-        sim.add_node_with_id(
-            s,
-            StwWorld::Server(StwNode::genesis_with(
-                s,
-                genesis.clone(),
-                tun.clone(),
-                sc.initial_state(),
-            )),
-        );
-    }
-    for &j in &sc.joiners {
-        sim.add_node_with_id(
-            NodeId(j),
-            StwWorld::Server(StwNode::joining(NodeId(j), tun.clone())),
-        );
-    }
-    if !sc.script.is_empty() {
-        sim.add_node_with_id(
-            ADMIN,
-            StwWorld::Admin(AdminActor::new(servers.clone(), sc.admin_script())),
-        );
-    }
-    let pool = sc.chaos_pool();
-    let joiner_ids: Vec<NodeId> = sc.joiners.iter().map(|&j| NodeId(j)).collect();
-    let rebuild_tun = tun.clone();
-    let mut driver = ChaosDriver::new(
-        &sc.faults,
-        sc.chaos_scope(),
-        sc.net(),
-        |sim: &Sim<StwWorld<KvStore>>, t| {
-            if let Some(r) = resolve_common(&pool, &joiner_ids, t) {
-                return r;
-            }
-            // Stop-the-world has no separate donor role: the sealing
-            // leader ships the snapshot, so both roles resolve to it.
-            pool.iter().copied().find(|&s| {
-                sim.actor(s)
-                    .and_then(StwWorld::as_server)
-                    .map(|n| n.is_current_leader())
-                    .unwrap_or(false)
-            })
-        },
-        // `StwNode` keeps nothing in stable storage; a restarted replica
-        // re-enters as a joiner and is re-seeded by the next epoch's
-        // snapshot broadcast.
-        move |_sim: &Sim<StwWorld<KvStore>>, n| {
-            StwWorld::Server(StwNode::joining(n, rebuild_tun.clone()))
-        },
-    );
-    driver.run_until(&mut sim, sc.client_start);
-    for (i, &c) in sc.client_ids().iter().enumerate() {
-        sim.add_node_with_id(
-            c,
-            StwWorld::Client(RsmrClient::new(
-                servers.clone(),
-                sc.gen_for(i as u64).into_fn(),
-                sc.ops_per_client,
-            )),
-        );
-    }
-    driver.run_until(&mut sim, sc.horizon);
-    let chaos_log = driver.applied().to_vec();
-    drop(driver);
-
-    let completed = sc
-        .client_ids()
-        .iter()
-        .filter_map(|&c| sim.actor(c).map(StwWorld::completed))
-        .sum();
-    let admin = sim
-        .actor(ADMIN)
-        .and_then(StwWorld::as_admin)
-        .map(|a| a.results().iter().map(|&(s, f, _)| (s, f)).collect())
-        .unwrap_or_default();
-    finish_run(
-        &mut sim,
-        sc,
-        probes,
-        inv,
-        chaos_log,
-        completed,
-        admin,
-        Vec::new(),
-    )
+/// Everything a driver decides about one closed-loop client.
+pub(crate) struct ClientSpec {
+    /// The servers it first contacts.
+    pub(crate) servers: Vec<NodeId>,
+    /// Its operation stream.
+    pub(crate) gen: WorkloadGen,
+    /// Operation limit (`None` = until the horizon).
+    pub(crate) ops: Option<u64>,
+    /// Record a history for linearizability checking.
+    pub(crate) history: bool,
+    /// An extra completion timeline (the sharded driver's per-group series).
+    pub(crate) completes_key: Option<&'static str>,
 }
 
-// ---------------------------------------------------------------------------
-// Raft baseline
-// ---------------------------------------------------------------------------
-
-fn run_raft(sc: &Scenario) -> RunOut {
-    let mut tun = RaftTunables::default();
-    if let Some((max_batch, _, _)) = sc.batching {
-        tun.cmd_batch = max_batch;
-    }
-    let mut sim: Sim<RaftWorld<KvStore>> = Sim::new(sc.seed, sc.net());
-    apply_fabric_cap(&mut sim, sc);
-    apply_delay_perm(&mut sim, sc);
-    if sc.record_trace {
-        sim.enable_trace();
-    }
-    let probes = EventProbes::install(&mut sim, sc.record_events);
-    let inv = install_invariants(&mut sim, sc.check_invariants);
-    let servers = sc.server_ids();
-    let genesis = StaticConfig::new(servers.clone());
-    for &s in &servers {
-        sim.add_node_with_id(
-            s,
-            RaftWorld::Server(RaftNode::with_state(
-                s,
-                genesis.clone(),
-                tun.clone(),
-                sc.initial_state(),
-            )),
-        );
-    }
-    for &j in &sc.joiners {
-        sim.add_node_with_id(
-            NodeId(j),
-            RaftWorld::Server(RaftNode::joining(NodeId(j), tun.clone())),
-        );
-    }
-    if !sc.script.is_empty() {
-        sim.add_node_with_id(
-            ADMIN,
-            RaftWorld::Admin(RaftAdmin::new(servers.clone(), sc.admin_script())),
-        );
-    }
-    let pool = sc.chaos_pool();
-    let joiner_ids: Vec<NodeId> = sc.joiners.iter().map(|&j| NodeId(j)).collect();
-    let rebuild_tun = tun.clone();
-    let mut driver = ChaosDriver::new(
-        &sc.faults,
-        sc.chaos_scope(),
-        sc.net(),
-        |sim: &Sim<RaftWorld<KvStore>>, t| {
-            if let Some(r) = resolve_common(&pool, &joiner_ids, t) {
-                return r;
-            }
-            // Raft's snapshot donor *is* the leader, so both role targets
-            // resolve to it.
-            pool.iter().copied().find(|&s| {
-                sim.actor(s)
-                    .and_then(RaftWorld::as_server)
-                    .map(|n| n.core().is_leader())
-                    .unwrap_or(false)
-            })
-        },
-        // A restarted replica recovers term, vote, snapshot and log from
-        // its stable store, exactly as a real raft process restarts.
-        move |sim: &Sim<RaftWorld<KvStore>>, n| {
-            RaftWorld::Server(RaftNode::recover(n, rebuild_tun.clone(), sim.storage(n)))
-        },
-    );
-    driver.run_until(&mut sim, sc.client_start);
-    for (i, &c) in sc.client_ids().iter().enumerate() {
-        let mut client = RaftClient::new(
-            servers.clone(),
-            sc.gen_for(i as u64).into_fn(),
-            sc.ops_per_client,
-        );
-        if sc.record_history {
-            client = client.with_history();
-        }
-        sim.add_node_with_id(c, RaftWorld::Client(client));
-    }
-    driver.run_until(&mut sim, sc.horizon);
-    let chaos_log = driver.applied().to_vec();
-    drop(driver);
-
-    let mut histories = Vec::new();
-    let mut completed = 0;
-    for &c in &sc.client_ids() {
-        if let Some(w) = sim.actor(c) {
-            completed += w.completed();
-            if let Some(cl) = w.as_client() {
-                for (_s, op, out, invoke, response) in cl.history() {
-                    histories.push(HistoryOp {
-                        process: c.0,
-                        invoke: *invoke,
-                        response: *response,
-                        input: op.clone(),
-                        output: out.clone(),
-                    });
-                }
-            }
-        }
-    }
-    let admin = sim
-        .actor(ADMIN)
-        .and_then(RaftWorld::as_admin)
-        .map(|a| a.results().to_vec())
-        .unwrap_or_default();
-    finish_run(
-        &mut sim, sc, probes, inv, chaos_log, completed, admin, histories,
-    )
+/// One node's actor as the drivers read it back: role targets for the
+/// chaos driver, results for [`RunOut`].
+pub(crate) enum NodeView<'a> {
+    /// A replica: whether it currently leads, and the donor a
+    /// `TransferDonor` fault target resolves to through it.
+    Replica { leads: bool, donor: Option<NodeId> },
+    /// A client: operations completed and its recorded history.
+    Client(u64, &'a [HistoryEntry<KvOp, KvOutput>]),
+    /// The admin's finished reconfigurations as `(started, finished)`.
+    Admin(Vec<(SimTime, SimTime)>),
 }
 
-// ---------------------------------------------------------------------------
-// Static building block (non-reconfigurable, E1/E7/E8 reference)
-// ---------------------------------------------------------------------------
+impl NodeView<'_> {
+    /// Replica `id` of a system whose leader ships state itself, so the
+    /// leader is also the donor.
+    fn leader_donor(id: NodeId, leads: bool) -> Self {
+        NodeView::Replica {
+            leads,
+            donor: leads.then_some(id),
+        }
+    }
+}
+
+/// One system under test, as the simulation drivers see it: how to build
+/// each kind of node, how to rebuild a crashed one, and how to read its
+/// actors back out.
+///
+/// This is the one place a system plugs into the harness. [`drive`] and
+/// the sharded driver are generic over it, so whatever sets a system apart
+/// (no joiners, no persisted state, no histories) lives in its impl. The
+/// defaults describe a system that cannot reconfigure.
+pub(crate) trait System {
+    /// The per-node actor: one enum over replica, client and admin.
+    type World: Actor;
+
+    /// A genesis member of `config`, starting from application `state`.
+    fn genesis(&self, id: NodeId, config: StaticConfig, state: KvStore) -> Self::World;
+
+    /// A blank replica that waits to be named a member; `None` when the
+    /// system cannot add members.
+    fn joiner(&self, _id: NodeId) -> Option<Self::World> {
+        None
+    }
+
+    /// A closed-loop client built from `spec`.
+    fn client(&self, spec: ClientSpec) -> Self::World;
+
+    /// The admin running `script` against the genesis `members`; `None`
+    /// when the system cannot reconfigure.
+    fn admin(&self, _members: Vec<NodeId>, _script: AdminScript) -> Option<Self::World> {
+        None
+    }
+
+    /// Rebuilds a crashed replica from its surviving stable store; `None`
+    /// means it re-enters as a [`System::joiner`].
+    fn rebuild(&self, _id: NodeId, _store: &StableStore) -> Option<Self::World> {
+        None
+    }
+
+    /// Node `id`'s actor `w`, read back.
+    fn view(id: NodeId, w: &Self::World) -> NodeView<'_>;
+}
+
+/// Resolves fault target `t`: the positional targets against the chaos
+/// `pool` and `joiners`, the role targets against each pool node's actor
+/// as `view` reads it.
+pub(crate) fn resolve<'w>(
+    pool: &[NodeId],
+    joiners: &[NodeId],
+    t: &FaultTarget,
+    view: impl Fn(NodeId) -> Option<NodeView<'w>>,
+) -> Option<NodeId> {
+    match t {
+        FaultTarget::Node(n) => Some(*n),
+        FaultTarget::ServerIdx(k) => pool.get((*k as usize) % pool.len().max(1)).copied(),
+        FaultTarget::Joiner => joiners.first().copied(),
+        FaultTarget::CurrentLeader => pool
+            .iter()
+            .copied()
+            .find(|&s| matches!(view(s), Some(NodeView::Replica { leads: true, .. }))),
+        FaultTarget::TransferDonor => pool.iter().find_map(|&s| match view(s) {
+            Some(NodeView::Replica { donor, .. }) => donor,
+            _ => None,
+        }),
+    }
+}
+
+/// Applies a scenario's `(max_batch, max_delay_ms, window)` batching point.
+fn set_batching(paxos: &mut PaxosTunables, batching: Option<(usize, u64, usize)>) {
+    if let Some((max_batch, max_delay_ms, window)) = batching {
+        paxos.max_batch = max_batch;
+        paxos.max_delay = SimDuration::from_millis(max_delay_ms);
+        paxos.window = window;
+    }
+}
+
+/// The composed machine's client, which stop-the-world shares.
+fn rsmr_client(spec: ClientSpec) -> RsmrClient<KvStore> {
+    let mut client = RsmrClient::new(spec.servers, spec.gen.into_fn(), spec.ops);
+    if spec.history {
+        client = client.with_history();
+    }
+    match spec.completes_key {
+        Some(key) => client.with_completes_key(key),
+        None => client,
+    }
+}
+
+/// The `(started, finished)` spans of the composed machine's admin, which
+/// stop-the-world shares.
+fn admin_spans(admin: &AdminActor<KvStore>) -> Vec<(SimTime, SimTime)> {
+    admin.results().iter().map(|&(s, f, _)| (s, f)).collect()
+}
+
+/// The composed machine. `Rsmr`, `RsmrNoSpec` and `RsmrBatched` differ only
+/// in the tunables it carries.
+#[derive(Clone)]
+pub(crate) struct RsmrSystem(pub(crate) RsmrTunables);
+
+impl RsmrSystem {
+    fn new(sc: &Scenario, fast_handoff: bool, batching: Option<(usize, u64, usize)>) -> Self {
+        let mut tun = RsmrTunables {
+            fast_handoff,
+            local_reads: sc.local_reads,
+            ..RsmrTunables::default()
+        };
+        tun.paxos.lease_duration = sc.local_reads.then(|| SimDuration::from_millis(100));
+        set_batching(&mut tun.paxos, batching);
+        RsmrSystem(tun)
+    }
+}
+
+impl System for RsmrSystem {
+    type World = World<KvStore>;
+
+    fn genesis(&self, id: NodeId, config: StaticConfig, state: KvStore) -> Self::World {
+        World::server(RsmrNode::genesis_with(id, config, self.0.clone(), state))
+    }
+
+    fn joiner(&self, id: NodeId) -> Option<Self::World> {
+        Some(World::server(RsmrNode::joining(id, self.0.clone())))
+    }
+
+    fn client(&self, spec: ClientSpec) -> Self::World {
+        World::client(rsmr_client(spec))
+    }
+
+    fn admin(&self, members: Vec<NodeId>, script: AdminScript) -> Option<Self::World> {
+        Some(World::admin(AdminActor::new(members, script)))
+    }
+
+    /// A replica that never anchored has no base to recover from.
+    fn rebuild(&self, id: NodeId, store: &StableStore) -> Option<Self::World> {
+        RsmrNode::recover(id, self.0.clone(), store).map(World::server)
+    }
+
+    fn view(_id: NodeId, w: &Self::World) -> NodeView<'_> {
+        match w {
+            World::Server(n) => NodeView::Replica {
+                leads: n.is_active_leader(),
+                donor: n.transfer_provider(),
+            },
+            World::Client(c) => NodeView::Client(c.completed(), c.history()),
+            World::Paced(c) => NodeView::Client(c.completed(), c.history()),
+            World::Admin(a) => NodeView::Admin(admin_spans(a)),
+        }
+    }
+}
+
+/// The stop-the-world baseline. It speaks the composed machine's client
+/// protocol but records no histories, and its sealing leader ships the
+/// snapshot. `StwNode` keeps nothing in stable storage: a restarted
+/// replica always re-enters as a joiner and is re-seeded by the next
+/// epoch's snapshot broadcast.
+#[derive(Clone)]
+pub(crate) struct StwSystem(pub(crate) StwTunables);
+
+impl StwSystem {
+    fn new(sc: &Scenario) -> Self {
+        let mut tun = StwTunables::default();
+        set_batching(&mut tun.paxos, sc.batching);
+        StwSystem(tun)
+    }
+}
+
+impl System for StwSystem {
+    type World = StwWorld<KvStore>;
+
+    fn genesis(&self, id: NodeId, config: StaticConfig, state: KvStore) -> Self::World {
+        StwWorld::Server(StwNode::genesis_with(id, config, self.0.clone(), state))
+    }
+
+    fn joiner(&self, id: NodeId) -> Option<Self::World> {
+        Some(StwWorld::Server(StwNode::joining(id, self.0.clone())))
+    }
+
+    fn client(&self, spec: ClientSpec) -> Self::World {
+        StwWorld::Client(rsmr_client(ClientSpec {
+            history: false,
+            ..spec
+        }))
+    }
+
+    fn admin(&self, members: Vec<NodeId>, script: AdminScript) -> Option<Self::World> {
+        Some(StwWorld::Admin(AdminActor::new(members, script)))
+    }
+
+    fn view(id: NodeId, w: &Self::World) -> NodeView<'_> {
+        match w {
+            StwWorld::Server(n) => NodeView::leader_donor(id, n.is_current_leader()),
+            StwWorld::Client(c) => NodeView::Client(c.completed(), c.history()),
+            StwWorld::Admin(a) => NodeView::Admin(admin_spans(a)),
+        }
+    }
+}
+
+/// Raft-lite. Its snapshot donor is the leader; it batches through
+/// `cmd_batch` (`max_batch` only), and its clients keep only the aggregate
+/// completion timeline.
+struct RaftSystem(RaftTunables);
+
+impl RaftSystem {
+    fn new(sc: &Scenario) -> Self {
+        let mut tun = RaftTunables::default();
+        if let Some((max_batch, _, _)) = sc.batching {
+            tun.cmd_batch = max_batch;
+        }
+        RaftSystem(tun)
+    }
+}
+
+impl System for RaftSystem {
+    type World = RaftWorld<KvStore>;
+
+    fn genesis(&self, id: NodeId, config: StaticConfig, state: KvStore) -> Self::World {
+        RaftWorld::Server(RaftNode::with_state(id, config, self.0.clone(), state))
+    }
+
+    fn joiner(&self, id: NodeId) -> Option<Self::World> {
+        Some(RaftWorld::Server(RaftNode::joining(id, self.0.clone())))
+    }
+
+    fn client(&self, spec: ClientSpec) -> Self::World {
+        let client = RaftClient::new(spec.servers, spec.gen.into_fn(), spec.ops);
+        RaftWorld::Client(if spec.history {
+            client.with_history()
+        } else {
+            client
+        })
+    }
+
+    fn admin(&self, members: Vec<NodeId>, script: AdminScript) -> Option<Self::World> {
+        Some(RaftWorld::Admin(RaftAdmin::new(members, script)))
+    }
+
+    /// Term, vote, snapshot and log come back from the stable store,
+    /// exactly as a real raft process restarts.
+    fn rebuild(&self, id: NodeId, store: &StableStore) -> Option<Self::World> {
+        let tun = self.0.clone();
+        Some(RaftWorld::Server(RaftNode::recover(id, tun, store)))
+    }
+
+    fn view(id: NodeId, w: &Self::World) -> NodeView<'_> {
+        match w {
+            RaftWorld::Server(n) => NodeView::leader_donor(id, n.core().is_leader()),
+            RaftWorld::Client(c) => NodeView::Client(c.completed(), c.history()),
+            RaftWorld::Admin(a) => NodeView::Admin(a.results().to_vec()),
+        }
+    }
+}
 
 /// World actor for the static system. Unboxed like the other worlds:
 /// one value per node, stored once in the sim's slot table.
@@ -1049,81 +941,116 @@ impl Actor for StaticWorld {
     }
 }
 
-fn run_static(sc: &Scenario) -> RunOut {
-    let mut sim: Sim<StaticWorld> = Sim::new(sc.seed, sc.net());
+/// The static building block (non-reconfigurable, the E1/E7/E8 reference),
+/// carrying its one configuration. It has no joiners and no admin, its
+/// clients issue counter commands instead of the KV workload, and with no
+/// reconfiguration the leader is the only donor.
+struct StaticSystem(StaticConfig);
+
+impl System for StaticSystem {
+    type World = StaticWorld;
+
+    fn genesis(&self, id: NodeId, config: StaticConfig, _state: KvStore) -> Self::World {
+        StaticWorld::Server(ReplicaActor::new(id, config, PaxosTunables::default()))
+    }
+
+    fn client(&self, spec: ClientSpec) -> Self::World {
+        StaticWorld::Client(SmrClient::new(spec.servers, |i| i + 1, spec.ops))
+    }
+
+    fn rebuild(&self, id: NodeId, store: &StableStore) -> Option<Self::World> {
+        let replica = ReplicaActor::recover(id, self.0.clone(), PaxosTunables::default(), store);
+        Some(StaticWorld::Server(replica))
+    }
+
+    fn view(id: NodeId, w: &Self::World) -> NodeView<'_> {
+        match w {
+            StaticWorld::Server(a) => NodeView::leader_donor(id, a.core().is_leader()),
+            StaticWorld::Client(c) => NodeView::Client(c.completed(), &[]),
+        }
+    }
+}
+
+/// Runs `sc` on system `sys`: genesis servers, then whatever joiners and
+/// admin the system can host, a chaos driver over the fault plan, and the
+/// clients at `client_start`.
+fn drive<S: System>(sys: S, sc: &Scenario) -> RunOut {
+    let mut sim: Sim<S::World> = Sim::new(sc.seed, sc.net());
     apply_fabric_cap(&mut sim, sc);
     apply_delay_perm(&mut sim, sc);
-    if sc.record_trace {
-        sim.enable_trace();
-    }
-    let probes = EventProbes::install(&mut sim, sc.record_events);
-    let inv = install_invariants(&mut sim, sc.check_invariants);
+    let observers = Observers::install(
+        &mut sim,
+        sc.record_trace,
+        sc.record_events,
+        sc.check_invariants,
+    );
     let servers = sc.server_ids();
-    let cfg = StaticConfig::new(servers.clone());
+    let genesis = StaticConfig::new(servers.clone());
     for &s in &servers {
-        sim.add_node_with_id(
-            s,
-            StaticWorld::Server(ReplicaActor::new(s, cfg.clone(), PaxosTunables::default())),
-        );
+        sim.add_node_with_id(s, sys.genesis(s, genesis.clone(), sc.initial_state()));
     }
-    let pool = servers.clone();
-    let rebuild_cfg = cfg.clone();
+    // The chaos pool: genesis servers plus every joiner actually hosted.
+    let mut pool = servers.clone();
+    for j in sc.joiners.iter().map(|&j| NodeId(j)) {
+        if let Some(w) = sys.joiner(j) {
+            sim.add_node_with_id(j, w);
+            pool.push(j);
+        }
+    }
+    let joiners = pool[servers.len()..].to_vec();
+    if !sc.script.is_empty() {
+        if let Some(admin) = sys.admin(servers.clone(), sc.admin_script()) {
+            sim.add_node_with_id(ADMIN, admin);
+        }
+    }
     let mut driver = ChaosDriver::new(
         &sc.faults,
         sc.chaos_scope(),
         sc.net(),
-        |sim: &Sim<StaticWorld>, t| {
-            if let Some(r) = resolve_common(&pool, &[], t) {
-                return r;
-            }
-            // The static block has no reconfiguration, so there is no
-            // donor; both role targets resolve to the paxos leader.
-            pool.iter().copied().find(|&s| match sim.actor(s) {
-                Some(StaticWorld::Server(a)) => a.core().is_leader(),
-                _ => false,
-            })
+        |sim: &Sim<S::World>, t| {
+            resolve(&pool, &joiners, t, |s| sim.actor(s).map(|w| S::view(s, w)))
         },
-        move |sim: &Sim<StaticWorld>, n| {
-            StaticWorld::Server(ReplicaActor::recover(
-                n,
-                rebuild_cfg.clone(),
-                PaxosTunables::default(),
-                sim.storage(n),
-            ))
+        |sim: &Sim<S::World>, n| {
+            sys.rebuild(n, sim.storage(n))
+                .or_else(|| sys.joiner(n))
+                .expect("a system without joiners rebuilds every replica")
         },
     );
     driver.run_until(&mut sim, sc.client_start);
-    for &c in &sc.client_ids() {
-        sim.add_node_with_id(
-            c,
-            StaticWorld::Client(SmrClient::new(
-                servers.clone(),
-                |i| i + 1,
-                sc.ops_per_client,
-            )),
-        );
+    for (i, &c) in sc.client_ids().iter().enumerate() {
+        let client = sys.client(ClientSpec {
+            servers: servers.clone(),
+            gen: sc.gen_for(i as u64),
+            ops: sc.ops_per_client,
+            history: sc.record_history,
+            completes_key: None,
+        });
+        sim.add_node_with_id(c, client);
     }
     driver.run_until(&mut sim, sc.horizon);
+
+    let mut completed = 0;
+    let mut histories = Vec::new();
+    for &c in &sc.client_ids() {
+        if let Some(NodeView::Client(n, history)) = sim.actor(c).map(|w| S::view(c, w)) {
+            completed += n;
+            for (_seq, op, out, invoke, response) in history {
+                histories.push(HistoryOp {
+                    process: c.0,
+                    invoke: *invoke,
+                    response: *response,
+                    input: op.clone(),
+                    output: out.clone(),
+                });
+            }
+        }
+    }
+    let admin = match sim.actor(ADMIN).map(|w| S::view(ADMIN, w)) {
+        Some(NodeView::Admin(spans)) => spans,
+        _ => Vec::new(),
+    };
     let chaos_log = driver.applied().to_vec();
-    drop(driver);
-    let completed = sc
-        .client_ids()
-        .iter()
-        .filter_map(|&c| match sim.actor(c) {
-            Some(StaticWorld::Client(cl)) => Some(cl.completed()),
-            _ => None,
-        })
-        .sum();
-    finish_run(
-        &mut sim,
-        sc,
-        probes,
-        inv,
-        chaos_log,
-        completed,
-        Vec::new(),
-        Vec::new(),
-    )
+    observers.finish(&mut sim, sc.horizon, chaos_log, completed, admin, histories)
 }
 
 /// Runs every `(kind, scenario)` job, fanning out across cores, and returns

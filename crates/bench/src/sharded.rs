@@ -20,21 +20,21 @@
 //!
 //! Client-side routing ("ShardRouter" in the issue): each client node
 //! hosts one sub-client bound to the group its key range hashes to; the
-//! per-group [`RsmrClient`] already tracks that group's leader and member
-//! set across reconfigurations, so routing hints come for free.
+//! per-group [`RsmrClient`](rsmr_core::RsmrClient) already tracks that
+//! group's leader and member set across reconfigurations, so routing hints
+//! come for free.
 
-use baselines::{StwNode, StwTunables, StwWorld};
+use baselines::StwTunables;
 use consensus::StaticConfig;
 use kvstore::{KeyDist, KvStore, WorkloadGen};
-use rsmr_core::harness::World;
-use rsmr_core::{AdminActor, RsmrClient, RsmrNode, RsmrTunables, GROUP_COMPLETES_KEYS};
+use rsmr_core::{RsmrTunables, GROUP_COMPLETES_KEYS};
 use simnet::{
-    ChaosDriver, FaultPlan, FaultTarget, GroupId, MultiGroup, NetConfig, NodeId, Sim, SimDuration,
-    SimTime,
+    ChaosDriver, FaultPlan, GroupId, MultiGroup, NetConfig, NodeId, Sim, SimDuration, SimTime,
 };
 
 use crate::runner::{
-    resolve_common, run, run_many, EventProbes, RunOut, Scenario, SystemKind, ADMIN,
+    resolve, run, run_many, AdminScript, ClientSpec, NodeView, Observers, RsmrSystem, RunOut,
+    Scenario, StwSystem, System, SystemKind, ADMIN,
 };
 
 /// Which sharded system a scenario runs on.
@@ -309,120 +309,82 @@ impl ShardRunOut {
 /// Runs `scenario` on the sharded `kind` (coupled mode: one `Sim`).
 pub fn run_sharded(kind: ShardSystem, sc: &ShardScenario) -> ShardRunOut {
     match kind {
-        ShardSystem::Rsmr => run_sharded_rsmr(sc),
-        ShardSystem::Stw => run_sharded_stw(sc),
+        ShardSystem::Rsmr => drive_sharded(RsmrSystem(RsmrTunables::default()), sc),
+        ShardSystem::Stw => drive_sharded(StwSystem(StwTunables::default()), sc),
     }
 }
 
-/// One group's reconfiguration script: `(fire at, target members)` steps.
-type AdminScript = Vec<(SimTime, Vec<NodeId>)>;
-
-/// The per-group admin scripts of a scenario, as `(group, script)`.
-fn admin_groups(sc: &ShardScenario) -> Vec<(GroupId, AdminScript)> {
-    (0..sc.groups)
-        .filter_map(|g| {
-            let script: Vec<(SimTime, Vec<NodeId>)> = sc
-                .scripts
-                .iter()
-                .filter(|(sg, _, _)| *sg == g)
-                .map(|(_, at, ids)| (*at, ids.iter().map(|&i| NodeId(i)).collect()))
-                .collect();
-            (!script.is_empty()).then_some((GroupId(g), script))
-        })
-        .collect()
+/// A pool node's group multiplexer: a group first contacting the node
+/// (an `Activate` naming it a member, speculative successor traffic)
+/// spawns a joining replica.
+fn group_host<S: System + Clone + 'static>(sys: &S, node: NodeId) -> MultiGroup<S::World> {
+    let sys = sys.clone();
+    MultiGroup::new(move |_g, _m| sys.joiner(node))
 }
 
-fn run_sharded_rsmr(sc: &ShardScenario) -> ShardRunOut {
-    let tun = RsmrTunables::default();
-    let mut sim: Sim<MultiGroup<World<KvStore>>> = Sim::new(sc.seed, sc.net());
-    if sc.record_trace {
-        sim.enable_trace();
-    }
-    let probes = EventProbes::install(&mut sim, sc.record_events);
+/// Runs `sc` on system `sys` with every node wrapped in a [`MultiGroup`]:
+/// pool nodes host their genesis groups, one admin node multiplexes every
+/// scripted group's admin, and each client node drives one group.
+fn drive_sharded<S: System + Clone + 'static>(sys: S, sc: &ShardScenario) -> ShardRunOut {
+    let mut sim: Sim<MultiGroup<S::World>> = Sim::new(sc.seed, sc.net());
+    let observers = Observers::install(&mut sim, sc.record_trace, sc.record_events, false);
 
-    // Server pool: every node hosts the groups whose genesis membership
-    // includes it; a group first contacting the node later (an Activate
-    // naming it a member, speculative successor traffic) spawns a joining
-    // replica through the factory.
-    let server_factory = |node: NodeId, tun: RsmrTunables| {
-        move |_g: GroupId, _m: &_| {
-            Some(World::server(RsmrNode::joining_with(
-                node,
-                tun.clone(),
-                KvStore::new(),
-            )))
-        }
-    };
     for p in 0..sc.pool {
         let node = NodeId(p);
-        let mut mg = MultiGroup::new(server_factory(node, tun.clone()));
+        let mut mg = group_host(&sys, node);
         for g in sc.hosted_groups(node) {
             let genesis = StaticConfig::new(sc.members(g));
-            mg.insert(
-                GroupId(g),
-                World::server(RsmrNode::genesis_with(
-                    node,
-                    genesis,
-                    tun.clone(),
-                    KvStore::new(),
-                )),
-            );
+            mg.insert(GroupId(g), sys.genesis(node, genesis, KvStore::new()));
         }
         sim.add_node_with_id(node, mg);
     }
-    // One admin node multiplexing a per-group admin for every scripted
-    // group — per-shard reconfigurations run concurrently.
-    let scripted = admin_groups(sc);
-    if !scripted.is_empty() {
-        let mut mg = MultiGroup::sealed();
-        for (g, script) in scripted {
-            mg.insert(g, World::admin(AdminActor::new(sc.members(g.0), script)));
+    // One admin node multiplexes an admin for every scripted group, so
+    // per-shard reconfigurations run concurrently.
+    let mut admins = MultiGroup::sealed();
+    for g in 0..sc.groups {
+        let script: AdminScript = sc
+            .scripts
+            .iter()
+            .filter(|(sg, _, _)| *sg == g)
+            .map(|(_, at, ids)| (*at, ids.iter().map(|&i| NodeId(i)).collect()))
+            .collect();
+        if script.is_empty() {
+            continue;
         }
-        sim.add_node_with_id(ADMIN, mg);
+        if let Some(admin) = sys.admin(sc.members(g), script) {
+            admins.insert(GroupId(g), admin);
+        }
+    }
+    if !admins.is_empty() {
+        sim.add_node_with_id(ADMIN, admins);
     }
 
     let pool: Vec<NodeId> = (0..sc.pool).map(NodeId).collect();
     let fg = GroupId(sc.fault_group);
-    let joiners = vec![sc.joiner(sc.fault_group)];
-    let resolve_pool = pool.clone();
-    let rebuild_tun = tun.clone();
+    let joiners = [sc.joiner(sc.fault_group)];
     let mut driver = ChaosDriver::new(
         &sc.faults,
         sc.chaos_scope(),
         sc.net(),
-        move |sim: &Sim<MultiGroup<World<KvStore>>>, t| {
-            if let Some(r) = resolve_common(&resolve_pool, &joiners, t) {
-                return r;
-            }
-            // Role targets are group-scoped: the leader/donor of the fault
-            // group, wherever in the pool it currently lives.
-            let server = |s: NodeId| {
+        // Role targets are group-scoped: the leader/donor of the fault
+        // group, wherever in the pool it currently lives.
+        |sim: &Sim<MultiGroup<S::World>>, t| {
+            let view = |s| {
                 sim.actor(s)
                     .and_then(|mg| mg.get(fg))
-                    .and_then(World::as_server)
+                    .map(|w| S::view(s, w))
             };
-            match t {
-                FaultTarget::CurrentLeader => resolve_pool
-                    .iter()
-                    .copied()
-                    .find(|&s| server(s).map(|n| n.is_active_leader()).unwrap_or(false)),
-                FaultTarget::TransferDonor => resolve_pool
-                    .iter()
-                    .filter_map(|&s| server(s).and_then(|n| n.transfer_provider()))
-                    .next(),
-                _ => None,
-            }
+            resolve(&pool, &joiners, t, view)
         },
-        move |sim: &Sim<MultiGroup<World<KvStore>>>, n| {
-            // A restarted pool node recovers every group with persisted
-            // state under its scope; anything else re-enters as a joiner
-            // through the factory on first contact.
+        // A restarted pool node recovers every group with persisted state
+        // under its scope; any other group re-enters as a joiner on first
+        // contact.
+        |sim: &Sim<MultiGroup<S::World>>, n| {
             let store = sim.storage(n);
-            let mut mg = MultiGroup::new(server_factory(n, rebuild_tun.clone()));
-            for g in MultiGroup::<World<KvStore>>::persisted_groups(store) {
-                let sub = store.subtree(&g.scope());
-                if let Some(rec) = RsmrNode::recover(n, rebuild_tun.clone(), &sub) {
-                    mg.insert(g, World::server(rec));
+            let mut mg = group_host(&sys, n);
+            for g in MultiGroup::<S::World>::persisted_groups(store) {
+                if let Some(w) = sys.rebuild(n, &store.subtree(&g.scope())) {
+                    mg.insert(g, w);
                 }
             }
             mg
@@ -431,185 +393,45 @@ fn run_sharded_rsmr(sc: &ShardScenario) -> ShardRunOut {
 
     for (i, &c) in sc.client_ids().iter().enumerate() {
         let g = sc.group_of_client(i as u64);
-        let client = RsmrClient::new(
-            sc.members(g),
-            sc.gen_for(i as u64).into_fn(),
-            sc.ops_per_client,
-        )
-        .with_completes_key(GROUP_COMPLETES_KEYS[g as usize]);
-        sim.add_node_with_id(
-            c,
-            MultiGroup::sealed().with_group(GroupId(g), World::client(client)),
-        );
+        let client = sys.client(ClientSpec {
+            servers: sc.members(g),
+            gen: sc.gen_for(i as u64),
+            ops: sc.ops_per_client,
+            history: false,
+            completes_key: Some(GROUP_COMPLETES_KEYS[g as usize]),
+        });
+        sim.add_node_with_id(c, MultiGroup::sealed().with_group(GroupId(g), client));
     }
     driver.run_until(&mut sim, sc.horizon);
-    let chaos_log = driver.applied().to_vec();
-    drop(driver);
 
     let mut per_group_completed = vec![0u64; sc.groups as usize];
-    let mut completed = 0;
     for (i, &c) in sc.client_ids().iter().enumerate() {
-        if let Some(mg) = sim.actor(c) {
-            let n: u64 = mg.entries().map(|(_, w)| w.completed()).sum();
-            completed += n;
-            per_group_completed[sc.group_of_client(i as u64) as usize] += n;
+        for (_, w) in sim.actor(c).into_iter().flat_map(MultiGroup::entries) {
+            if let NodeView::Client(n, _) = S::view(c, w) {
+                per_group_completed[sc.group_of_client(i as u64) as usize] += n;
+            }
         }
     }
-    let mut per_group_admin: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); sc.groups as usize];
-    if let Some(mg) = sim.actor(ADMIN) {
-        for (g, w) in mg.entries() {
-            if let Some(a) = w.as_admin() {
-                per_group_admin[g.0 as usize] =
-                    a.results().iter().map(|&(s, f, _)| (s, f)).collect();
-            }
+    let completed = per_group_completed.iter().sum();
+    let mut per_group_admin = vec![Vec::new(); sc.groups as usize];
+    for (g, w) in sim.actor(ADMIN).into_iter().flat_map(MultiGroup::entries) {
+        if let NodeView::Admin(spans) = S::view(ADMIN, w) {
+            per_group_admin[g.0 as usize] = spans;
         }
     }
     let mut admin: Vec<(SimTime, SimTime)> = per_group_admin.iter().flatten().copied().collect();
     admin.sort();
-    let probe = probes.finish();
-    ShardRunOut {
-        run: RunOut {
-            completed,
-            metrics: sim.metrics().clone(),
-            admin,
-            horizon: sc.horizon,
-            histories: Vec::new(),
-            trace_digest: sim.trace().digest(),
-            event_digest: probe.event_digest,
-            event_count: probe.event_count,
-            digest_prefixes: probe.digest_prefixes,
-            lifecycle_signature: probe.lifecycle_signature,
-            spans: probe.spans,
-            invariant_violations: Vec::new(),
-            chaos_log,
-        },
-        groups: sc.groups,
-        per_group_completed,
-        per_group_admin,
-    }
-}
-
-fn run_sharded_stw(sc: &ShardScenario) -> ShardRunOut {
-    let tun = StwTunables::default();
-    let mut sim: Sim<MultiGroup<StwWorld<KvStore>>> = Sim::new(sc.seed, sc.net());
-    if sc.record_trace {
-        sim.enable_trace();
-    }
-    let probes = EventProbes::install(&mut sim, sc.record_events);
-
-    let server_factory = |node: NodeId, tun: StwTunables| {
-        move |_g: GroupId, _m: &_| Some(StwWorld::Server(StwNode::joining(node, tun.clone())))
-    };
-    for p in 0..sc.pool {
-        let node = NodeId(p);
-        let mut mg = MultiGroup::new(server_factory(node, tun.clone()));
-        for g in sc.hosted_groups(node) {
-            let genesis = StaticConfig::new(sc.members(g));
-            mg.insert(
-                GroupId(g),
-                StwWorld::Server(StwNode::genesis_with(
-                    node,
-                    genesis,
-                    tun.clone(),
-                    KvStore::new(),
-                )),
-            );
-        }
-        sim.add_node_with_id(node, mg);
-    }
-    let scripted = admin_groups(sc);
-    if !scripted.is_empty() {
-        let mut mg = MultiGroup::sealed();
-        for (g, script) in scripted {
-            mg.insert(g, StwWorld::Admin(AdminActor::new(sc.members(g.0), script)));
-        }
-        sim.add_node_with_id(ADMIN, mg);
-    }
-
-    let pool: Vec<NodeId> = (0..sc.pool).map(NodeId).collect();
-    let fg = GroupId(sc.fault_group);
-    let joiners = vec![sc.joiner(sc.fault_group)];
-    let resolve_pool = pool.clone();
-    let rebuild_tun = tun.clone();
-    let mut driver = ChaosDriver::new(
-        &sc.faults,
-        sc.chaos_scope(),
-        sc.net(),
-        move |sim: &Sim<MultiGroup<StwWorld<KvStore>>>, t| {
-            if let Some(r) = resolve_common(&resolve_pool, &joiners, t) {
-                return r;
-            }
-            // Stop-the-world's sealing leader ships the snapshot, so both
-            // role targets resolve to the fault group's leader.
-            resolve_pool.iter().copied().find(|&s| {
-                sim.actor(s)
-                    .and_then(|mg| mg.get(fg))
-                    .and_then(StwWorld::as_server)
-                    .map(|n| n.is_current_leader())
-                    .unwrap_or(false)
-            })
-        },
-        // `StwNode` keeps nothing in stable storage: a restarted node
-        // re-enters every group as a joiner through the factory.
-        move |_sim: &Sim<MultiGroup<StwWorld<KvStore>>>, n| {
-            MultiGroup::new(server_factory(n, rebuild_tun.clone()))
-        },
+    let chaos_log = driver.applied().to_vec();
+    let run = observers.finish(
+        &mut sim,
+        sc.horizon,
+        chaos_log,
+        completed,
+        admin,
+        Vec::new(),
     );
-
-    for (i, &c) in sc.client_ids().iter().enumerate() {
-        let g = sc.group_of_client(i as u64);
-        let client = RsmrClient::new(
-            sc.members(g),
-            sc.gen_for(i as u64).into_fn(),
-            sc.ops_per_client,
-        )
-        .with_completes_key(GROUP_COMPLETES_KEYS[g as usize]);
-        sim.add_node_with_id(
-            c,
-            MultiGroup::sealed().with_group(GroupId(g), StwWorld::Client(client)),
-        );
-    }
-    driver.run_until(&mut sim, sc.horizon);
-    let chaos_log = driver.applied().to_vec();
-    drop(driver);
-
-    let mut per_group_completed = vec![0u64; sc.groups as usize];
-    let mut completed = 0;
-    for (i, &c) in sc.client_ids().iter().enumerate() {
-        if let Some(mg) = sim.actor(c) {
-            let n: u64 = mg.entries().map(|(_, w)| w.completed()).sum();
-            completed += n;
-            per_group_completed[sc.group_of_client(i as u64) as usize] += n;
-        }
-    }
-    let mut per_group_admin: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); sc.groups as usize];
-    if let Some(mg) = sim.actor(ADMIN) {
-        for (g, w) in mg.entries() {
-            if let Some(a) = w.as_admin() {
-                per_group_admin[g.0 as usize] =
-                    a.results().iter().map(|&(s, f, _)| (s, f)).collect();
-            }
-        }
-    }
-    let mut admin: Vec<(SimTime, SimTime)> = per_group_admin.iter().flatten().copied().collect();
-    admin.sort();
-    let probe = probes.finish();
     ShardRunOut {
-        run: RunOut {
-            completed,
-            metrics: sim.metrics().clone(),
-            admin,
-            horizon: sc.horizon,
-            histories: Vec::new(),
-            trace_digest: sim.trace().digest(),
-            event_digest: probe.event_digest,
-            event_count: probe.event_count,
-            digest_prefixes: probe.digest_prefixes,
-            lifecycle_signature: probe.lifecycle_signature,
-            spans: probe.spans,
-            invariant_violations: Vec::new(),
-            chaos_log,
-        },
+        run,
         groups: sc.groups,
         per_group_completed,
         per_group_admin,

@@ -55,11 +55,6 @@ pub struct RsmrTunables {
     /// How long a closed epoch's instance keeps serving catch-up before it
     /// is halted and dropped.
     pub retire_grace: SimDuration,
-    /// Leader-side group commit: while a proposal is in flight, accumulate
-    /// up to this many client commands and propose them as one log entry
-    /// (flushed when the pipeline idles, the buffer fills, or at the next
-    /// tick). `0` disables batching.
-    pub batch_size: usize,
     /// Serve pure reads (operations with a [`StateMachine::query`] answer)
     /// locally at the leader under a read lease, skipping the log.
     /// Requires `paxos.lease_duration` to be set; linearizable given the
@@ -84,7 +79,6 @@ impl Default for RsmrTunables {
             tick: SimDuration::from_millis(5),
             transfer_retry: SimDuration::from_millis(100),
             retire_grace: SimDuration::from_secs(2),
-            batch_size: 0,
             local_reads: false,
             compact_pages_per_tick: 8,
         }
@@ -243,9 +237,6 @@ pub struct RsmrNode<S: StateMachine> {
     /// the stashed senders instead of stalling forever.
     stash_since: BTreeMap<Epoch, SimTime>,
 
-    /// Leader-side batch accumulator (when `batch_size > 0`).
-    batch_buf: Vec<(NodeId, u64, S::Op)>,
-
     /// The intra-batch tail of the batch that closed the current epoch:
     /// application commands that followed the first `Reconfigure` inside
     /// the same batch. Set by the apply pump at the close, drained by
@@ -301,7 +292,6 @@ impl<S: StateMachine> RsmrNode<S> {
             pending_transfer: None,
             stashed: BTreeMap::new(),
             stash_since: BTreeMap::new(),
-            batch_buf: Vec::new(),
             batch_tail: Vec::new(),
             applied_count: 0,
             commit_seen_epoch: None,
@@ -353,7 +343,6 @@ impl<S: StateMachine> RsmrNode<S> {
             pending_transfer: None,
             stashed: BTreeMap::new(),
             stash_since: BTreeMap::new(),
-            batch_buf: Vec::new(),
             batch_tail: Vec::new(),
             applied_count: 0,
             commit_seen_epoch: None,
@@ -393,7 +382,6 @@ impl<S: StateMachine> RsmrNode<S> {
             pending_transfer: None,
             stashed: BTreeMap::new(),
             stash_since: BTreeMap::new(),
-            batch_buf: Vec::new(),
             batch_tail: Vec::new(),
             applied_count: 0,
             commit_seen_epoch: None,
@@ -628,20 +616,6 @@ impl<S: StateMachine> RsmrNode<S> {
                 buf.insert(slot, (now, cmd));
             }
             self.pump_apply(ctx);
-        }
-        // Group commit: a completed round frees the pipeline — flush the
-        // commands that accumulated while it was in flight.
-        if self.tun.batch_size > 0 && !self.batch_buf.is_empty() {
-            if let Some(active) = self.active_epoch() {
-                let idle = self
-                    .instances
-                    .get(&active)
-                    .map(|i| i.paxos.is_leader() && i.paxos.inflight_len() == 0)
-                    .unwrap_or(false);
-                if idle {
-                    self.flush_batch(ctx, active);
-                }
-            }
         }
     }
 
@@ -1171,67 +1145,7 @@ impl<S: StateMachine> RsmrNode<S> {
             self.handoff.push_back((client, seq, op));
             return;
         }
-        // Adaptive batching (group commit): the leader accumulates while a
-        // proposal is in flight and flushes the moment the pipeline is idle
-        // or the batch is full — unloaded latency is unchanged, loaded
-        // throughput amortizes consensus rounds.
-        if self.tun.batch_size > 0 {
-            let (is_leader, inflight) = self
-                .instances
-                .get(&active)
-                .map(|i| (i.paxos.is_leader(), i.paxos.inflight_len()))
-                .unwrap_or((false, 0));
-            if is_leader {
-                self.batch_buf.push((client, seq, op));
-                if self.batch_buf.len() >= self.tun.batch_size || inflight == 0 {
-                    self.flush_batch(ctx, active);
-                }
-                return;
-            }
-        }
         self.submit_to_instance(ctx, active, client, seq, op);
-    }
-
-    /// Proposes the accumulated batch as one log entry.
-    fn flush_batch(&mut self, ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>, epoch: Epoch) {
-        if self.batch_buf.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.batch_buf);
-        let Some(inst) = self.instances.get_mut(&epoch) else {
-            // Instance vanished between accumulation and flush: the
-            // clients retransmit.
-            return;
-        };
-        let keys: Vec<(NodeId, u64)> = entries.iter().map(|(c, s, _)| (*c, *s)).collect();
-        let entries: Vec<BatchEntry<S::Op>> = entries
-            .into_iter()
-            .map(|(client, seq, op)| BatchEntry::App { client, seq, op })
-            .collect();
-        let (fx, outcome) = inst.paxos.propose(Cmd::Batch { entries }, ctx.now());
-        match outcome {
-            ProposeOutcome::Accepted => {
-                ctx.metrics().incr("rsmr.batches_proposed", 1);
-                ctx.metrics().incr("rsmr.batched_cmds", keys.len() as u64);
-                for key in keys {
-                    self.waiting.insert(key, ());
-                }
-            }
-            ProposeOutcome::NotLeader(leader) => {
-                let members = self.current_members();
-                for (client, seq) in keys {
-                    ctx.send(
-                        client,
-                        RsmrMsg::Redirect {
-                            seq,
-                            leader,
-                            members: members.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        self.process_effects(ctx, epoch, fx);
     }
 
     fn handle_reconfigure(
@@ -1875,13 +1789,6 @@ impl<S: StateMachine> RsmrNode<S> {
                 inst.paxos.tick(now)
             };
             self.process_effects(ctx, epoch, fx);
-        }
-
-        // Flush an accumulated batch (at most one tick of added latency).
-        if !self.batch_buf.is_empty() {
-            if let Some(active) = self.active_epoch() {
-                self.flush_batch(ctx, active);
-            }
         }
 
         // Drop stashes for epochs that can no longer matter.

@@ -490,16 +490,19 @@ fn w_completed(sim: &Sim<Node>, client: NodeId) -> u64 {
 
 #[test]
 fn batching_preserves_exactly_once_and_cuts_proposals() {
-    // Same workload with and without leader-side batching: identical
+    // Same workload with and without in-core leader batching: identical
     // results, far fewer consensus entries.
-    let run = |batch_size: usize| {
+    let run = |max_batch: usize| {
         let mut sim: Sim<Node> = Sim::new(77, NetConfig::lan());
         let servers: Vec<NodeId> = (0..3).map(NodeId).collect();
         let genesis = StaticConfig::new(servers.clone());
-        let tun = RsmrTunables {
-            batch_size,
-            ..RsmrTunables::default()
-        };
+        let mut tun = RsmrTunables::default();
+        tun.paxos.max_batch = max_batch;
+        if max_batch > 1 {
+            // Accumulate while a proposal is in flight, for at most one
+            // tick.
+            tun.paxos.max_delay = SimDuration::from_millis(5);
+        }
         for &s in &servers {
             sim.add_node_with_id(
                 s,
@@ -526,15 +529,15 @@ fn batching_preserves_exactly_once_and_cuts_proposals() {
         let accepts = sim.metrics().label_count("paxos.accept");
         (done, value, accepts)
     };
-    let (done_plain, value_plain, accepts_plain) = run(0);
+    let (done_plain, value_plain, accepts_plain) = run(1);
     let (done_batch, value_batch, accepts_batch) = run(64);
     assert_eq!(done_plain, 800);
     assert_eq!(done_batch, 800);
     assert_eq!(value_plain, 800, "exactly-once without batching");
     assert_eq!(value_batch, 800, "exactly-once with batching");
-    // Adaptive group commit flushes eagerly when the pipeline idles, so
-    // with only 4 closed-loop clients batches stay small; require a solid
-    // (not maximal) reduction.
+    // The accumulator flushes eagerly when the pipeline idles, so with
+    // only 4 closed-loop clients batches stay small; require a solid (not
+    // maximal) reduction.
     assert!(
         accepts_batch * 4 < accepts_plain * 3,
         "batching should cut accept traffic by ≥25%: {accepts_batch} vs {accepts_plain}"
