@@ -83,22 +83,23 @@ fn main() {
     std::fs::write(out_path, &json).expect("write artifact");
     print!("{json}");
 
+    // A NaN measurement fails every gate.
     let mut failed = false;
-    if !(rsmr_growth <= GATE_MAX_RSMR_GAP_GROWTH) {
+    if rsmr_growth.is_nan() || rsmr_growth > GATE_MAX_RSMR_GAP_GROWTH {
         eprintln!(
             "FAIL: chunked handoff gap grew {rsmr_growth:.2}x across the state \
              axis (gate: <= {GATE_MAX_RSMR_GAP_GROWTH}x)"
         );
         failed = true;
     }
-    if !(stw_growth >= stw_gate) {
+    if stw_growth.is_nan() || stw_growth < stw_gate {
         eprintln!(
             "FAIL: monolithic control gap grew only {stw_growth:.2}x (expected \
              >= {stw_gate}x) — the comparison lost its contrast"
         );
         failed = true;
     }
-    if !(rejoin.delta_pct < GATE_MAX_DELTA_PCT) {
+    if rejoin.delta_pct.is_nan() || rejoin.delta_pct >= GATE_MAX_DELTA_PCT {
         eprintln!(
             "FAIL: rejoin delta moved {:.1}% of the full snapshot (gate: < \
              {GATE_MAX_DELTA_PCT}%)",

@@ -87,9 +87,10 @@ pub fn run_structured(quick: bool) -> ExpOutput {
     out.push_str(
         "Shape expected from the paper: the composition (rsmr) tracks the bare \
          static block within a few percent — with the same seed its runs are \
-         message-for-message identical to the block's, the strongest form of \
-         zero overhead (virtual time charges no CPU; execution cost is not \
-         modelled). The batching ablation routes through the in-core leader \
+         message-for-message identical to the block's up to the first log \
+         roll (one slot and one fast handoff per 16384 commands), the \
+         strongest form of zero overhead (virtual time charges no CPU; \
+         execution cost is not modelled). The batching ablation routes through the in-core leader \
          accumulator (batch=64, 1ms deadline, 8-slot window) and *loses* \
          ~16-19% here: on an uncontended LAN with few closed-loop clients, \
          rounds are not the bottleneck, so the bounded window and batch \

@@ -143,9 +143,10 @@ pub fn run_structured(quick: bool) -> ExpOutput {
     }
     out.push_str(&t2.render());
     out.push_str(
-        "Shape expected from the paper: rsmr's steady-state msgs/cmd equals \
-         the bare block's (the composition adds zero protocol overhead per \
-         command); a reconfiguration costs a bounded burst of activation + \
+        "Shape expected from the paper: rsmr's steady-state msgs/cmd matches \
+         the bare block's (the composition adds no protocol overhead per \
+         command; a log roll adds one handoff's messages per 16384 \
+         commands); a reconfiguration costs a bounded burst of activation + \
          transfer + election traffic. (Most of the composed systems' \
          heartbeat delta is the steady cost of the larger successor \
          configuration plus the retire-grace overlap of two instances, not \

@@ -365,7 +365,7 @@ const GOLDEN: &[(&str, Digests)] = &[
     ("scenario / stop-the-world", (11761, 0xb42ecb027d1545f6, 0xcbf29ce484222325, 0x492e63115c32293f, 502626)),
     ("scenario / raft-lite", (14540, 0x201de8e912c3f089, 0xcbf29ce484222325, 0xfe0504115ad73500, 513879)),
     ("chaos / static-paxos", (6155, 0x823e6ab51c38ce5a, 0xcbf29ce484222325, 0xf011efcd7026484e, 284447)),
-    ("chaos / rsmr (spec)", (9987, 0xd989b44bb62e1a6c, 0x60d1e92b9290276b, 0x8b3be4e36b72667b, 420167)),
+    ("chaos / rsmr (spec)", (9988, 0xa87169084279e1bc, 0x60d1e92b9290276b, 0x753ba5f21c5666b1, 414193)),
     ("chaos / rsmr (no-spec)", (9996, 0x8304af6c077735fd, 0x959621121ef4419d, 0x134661de259a0ec6, 414612)),
     ("chaos / rsmr (batched)", (8248, 0x8803db4559c3405c, 0x8f35549637f52e99, 0x80f57945eb1bc195, 255214)),
     ("chaos / stop-the-world", (4521, 0x72009aff7ab54f77, 0xcbf29ce484222325, 0x465f9c39c626d847, 197035)),

@@ -110,7 +110,9 @@ struct Anchor {
 #[derive(Clone, Debug)]
 struct Closing {
     epoch: Epoch,
-    admin: NodeId,
+    /// The admin to answer at finalize and the configuration it asked
+    /// for; `None` for a log roll, which answers no one.
+    admin: Option<(NodeId, StaticConfig)>,
     proposed_at: SimTime,
 }
 
@@ -139,6 +141,15 @@ struct PendingTransfer {
     /// Every chunk index ever requested; re-requesting one (donor crash,
     /// corruption) counts toward `transfer.chunks_resent`.
     requested: BTreeSet<u64>,
+    /// When a chunk was last stored (the start, before the first).
+    progress_at: SimTime,
+}
+
+impl PendingTransfer {
+    /// A manifest was adopted and a chunk was stored within `window`.
+    fn streaming(&self, now: SimTime, window: SimDuration) -> bool {
+        self.assembly.is_some() && now.since(self.progress_at) < window
+    }
 }
 
 /// One cached page encode, reused while the page's version is unchanged.
@@ -155,6 +166,18 @@ const KEY_BASE_META: &str = "base/meta";
 fn page_key(i: usize) -> String {
     format!("base/page/{i:05}")
 }
+
+/// Applied slots after which the active epoch's leader rolls the log: it
+/// closes the epoch with a `Reconfigure` to the *current* members, and the
+/// retired instance takes its log and its `px/` keys with it. Bounds what
+/// a replica holds per group to this many slots plus
+/// [`RsmrTunables::retire_grace`] worth of commits.
+pub const ROLL_AFTER_SLOTS: u64 = 16_384;
+
+/// Persisted acceptor keys of dropped epochs deleted per tick. Deleting a
+/// whole epoch's `px/` keys in one callback stalls the runtime for tens of
+/// milliseconds per group, long enough for followers to start an election.
+const RECLAIM_KEYS_PER_TICK: usize = 256;
 
 const BASES_KEPT: usize = 4;
 /// Max chunk requests a joiner keeps in flight (interleaves the stream
@@ -199,8 +222,10 @@ pub struct RsmrNode<S: StateMachine> {
 
     /// Donor-side transfer plans, keyed by `(epoch, requester)`: chunks
     /// are served from the plan the requester's manifest described, so a
-    /// full and a delta transfer of the same epoch never mix.
-    serve_plans: BTreeMap<(Epoch, NodeId), TransferPlan>,
+    /// full and a delta transfer of the same epoch never mix. Each plan
+    /// carries when it last served a request: a plan still streaming
+    /// outlives its base (see `finalize_epoch`).
+    serve_plans: BTreeMap<(Epoch, NodeId), (TransferPlan, SimTime)>,
 
     /// Rolling page-encode cache (in-epoch incremental compaction). Entry
     /// `i` holds the last encode of snapshot page `i` and the page version
@@ -244,6 +269,14 @@ pub struct RsmrNode<S: StateMachine> {
     /// is re-proposed into the successor *ahead of* the slot-granular
     /// discarded entries (it precedes them in composed log order).
     batch_tail: Vec<(NodeId, u64, S::Op)>,
+
+    /// Dropped epochs whose `px/` keys are still being deleted, a slice
+    /// per tick.
+    reclaim: BTreeSet<Epoch>,
+
+    /// The anchor as last seen by the tick and since when it has not
+    /// moved (the stuck-anchor check).
+    anchor_watch: Option<(Anchor, SimTime)>,
 
     /// Commands applied by this replica (for tests and metrics).
     applied_count: u64,
@@ -293,6 +326,8 @@ impl<S: StateMachine> RsmrNode<S> {
             stashed: BTreeMap::new(),
             stash_since: BTreeMap::new(),
             batch_tail: Vec::new(),
+            reclaim: BTreeSet::new(),
+            anchor_watch: None,
             applied_count: 0,
             commit_seen_epoch: None,
         };
@@ -344,6 +379,8 @@ impl<S: StateMachine> RsmrNode<S> {
             stashed: BTreeMap::new(),
             stash_since: BTreeMap::new(),
             batch_tail: Vec::new(),
+            reclaim: BTreeSet::new(),
+            anchor_watch: None,
             applied_count: 0,
             commit_seen_epoch: None,
         }
@@ -383,6 +420,8 @@ impl<S: StateMachine> RsmrNode<S> {
             stashed: BTreeMap::new(),
             stash_since: BTreeMap::new(),
             batch_tail: Vec::new(),
+            reclaim: BTreeSet::new(),
+            anchor_watch: None,
             applied_count: 0,
             commit_seen_epoch: None,
         };
@@ -837,8 +876,14 @@ impl<S: StateMachine> RsmrNode<S> {
             let oldest = *self.bases.keys().next().expect("non-empty");
             self.bases.remove(&oldest);
         }
+        // A plan whose base was just evicted keeps serving while its
+        // stream is live: a joiner fetching a large base finishes it even
+        // as log rolls close epoch after epoch.
         let kept: Vec<Epoch> = self.bases.keys().copied().collect();
-        self.serve_plans.retain(|&(e, _), _| kept.contains(&e));
+        let now = ctx.now();
+        let grace = self.tun.retire_grace;
+        self.serve_plans
+            .retain(|&(e, _), (_, served)| kept.contains(&e) || now.since(*served) < grace);
 
         // Collect the discarded tail (entries the block committed past the
         // close point) for optional re-proposal. The intra-batch tail of
@@ -977,19 +1022,26 @@ impl<S: StateMachine> RsmrNode<S> {
             }
         }
 
-        // Resolve an admin reconfiguration this node proposed.
-        if let Some(closing) = self.closing.take() {
-            if closing.epoch == epoch {
-                ctx.send(
-                    closing.admin,
+        // Resolve the reconfiguration this node proposed. Another
+        // `Reconfigure` may have closed the epoch first (two leaders each
+        // accepted one): its admin then hears `ok: false` and retries.
+        if self.closing.as_ref().is_some_and(|c| c.epoch == epoch) {
+            let closing = self.closing.take().expect("checked");
+            match closing.admin {
+                Some((admin, requested)) => ctx.send(
+                    admin,
                     RsmrMsg::ReconfigureReply {
                         epoch: successor,
-                        ok: true,
+                        ok: requested == successor_cfg,
                         leader: None,
                     },
-                );
-            } else {
-                self.closing = Some(closing);
+                ),
+                None => {
+                    let same = self.chain.as_ref().and_then(|c| c.config(epoch));
+                    if same == Some(&successor_cfg) {
+                        ctx.metrics().incr("rsmr.log_rolls", 1);
+                    }
+                }
             }
         }
 
@@ -1007,7 +1059,12 @@ impl<S: StateMachine> RsmrNode<S> {
         epoch: Epoch,
         cfg: &StaticConfig,
     ) {
-        if self.instances.contains_key(&epoch) || !cfg.contains(self.me) {
+        // An epoch below the anchor is closed and may be retired: a blank
+        // acceptor for it could accept values over already-chosen slots.
+        if self.instances.contains_key(&epoch)
+            || !cfg.contains(self.me)
+            || self.anchor.is_some_and(|a| epoch < a.epoch)
+        {
             return;
         }
         self.instances.insert(
@@ -1192,8 +1249,13 @@ impl<S: StateMachine> RsmrNode<S> {
             );
             return;
         }
-        if self.closing.is_some() {
-            refuse(self, ctx, Some(self.me));
+        if let Some(closing) = &self.closing {
+            // During a log roll the admin is left unanswered: its retry
+            // timer resends once the roll has landed, instead of bouncing
+            // off refusals until then.
+            if closing.admin.is_some() {
+                refuse(self, ctx, Some(self.me));
+            }
             return;
         }
         let inst = self.instances.get_mut(&active).expect("active exists");
@@ -1207,7 +1269,7 @@ impl<S: StateMachine> RsmrNode<S> {
             ProposeOutcome::Accepted => {
                 self.closing = Some(Closing {
                     epoch: active,
-                    admin,
+                    admin: Some((admin, requested)),
                     proposed_at: ctx.now(),
                 });
                 let now = ctx.now();
@@ -1295,6 +1357,15 @@ impl<S: StateMachine> RsmrNode<S> {
                 }
                 return;
             }
+            // A newer epoch while chunks are flowing: finish the older
+            // base. Its log, which this member has been buffering,
+            // carries it forward, and the stuck-anchor check in `tick_everything`
+            // catches the case where it cannot. Restarting would throw
+            // the progress away, and a transfer that outlasts a few log
+            // rolls would never finish.
+            if pt.streaming(ctx.now(), self.tun.retire_grace) {
+                return;
+            }
         }
         let mut pool: Vec<NodeId> = Vec::new();
         for &c in std::iter::once(&provider).chain(candidates.iter()) {
@@ -1320,6 +1391,7 @@ impl<S: StateMachine> RsmrNode<S> {
             assembly: None,
             inflight: Vec::new(),
             requested: BTreeSet::new(),
+            progress_at: ctx.now(),
         });
         ctx.metrics().incr("rsmr.transfer_requests", 1);
         ctx.emit_event(DomainEvent::TransferRequested {
@@ -1420,7 +1492,7 @@ impl<S: StateMachine> RsmrNode<S> {
             let oldest = *self.serve_plans.keys().next().expect("non-empty");
             self.serve_plans.remove(&oldest);
         }
-        self.serve_plans.insert((epoch, from), plan);
+        self.serve_plans.insert((epoch, from), (plan, ctx.now()));
         ctx.send(
             from,
             RsmrMsg::ManifestReply {
@@ -1506,7 +1578,14 @@ impl<S: StateMachine> RsmrNode<S> {
         epoch: Epoch,
         index: u64,
     ) {
-        let plan = self.serve_plans.get(&(epoch, from));
+        let now = ctx.now();
+        let plan = self
+            .serve_plans
+            .get_mut(&(epoch, from))
+            .map(|(plan, served)| {
+                *served = now;
+                &*plan
+            });
         let bytes = plan.and_then(|p| p.chunks.get(index as usize)).cloned();
         if let (Some(plan), Some(b)) = (plan, bytes.as_ref()) {
             ctx.metrics().incr("transfer.chunk_bytes", b.len() as u64);
@@ -1554,6 +1633,7 @@ impl<S: StateMachine> RsmrNode<S> {
                     // Progress: reset the rotation backoff.
                     pt.attempts = 0;
                     pt.last_request = now;
+                    pt.progress_at = now;
                 }
                 ChunkOutcome::Corrupt => {
                     // Discarded, never applied; stays missing, so the
@@ -1696,6 +1776,7 @@ impl<S: StateMachine> RsmrNode<S> {
             assembly: None,
             inflight: Vec::new(),
             requested: BTreeSet::new(),
+            progress_at: ctx.now(),
         });
         ctx.send(provider, RsmrMsg::ManifestRequest { epoch, since });
     }
@@ -1740,17 +1821,7 @@ impl<S: StateMachine> RsmrNode<S> {
         // Drop buffers and instances for epochs we jumped over.
         self.buffers.retain(|&e, _| e >= epoch);
         self.sealed_at.retain(|&e, _| e >= epoch);
-        let stale: Vec<Epoch> = self
-            .instances
-            .keys()
-            .copied()
-            .filter(|&e| e < epoch)
-            .collect();
-        for e in stale {
-            if let Some(mut inst) = self.instances.remove(&e) {
-                inst.paxos.halt();
-            }
-        }
+        self.drop_epochs_below(epoch);
         self.ensure_instance(ctx, epoch, &cfg);
         let now = ctx.now();
         ctx.metrics().incr("rsmr.transfers_installed", 1);
@@ -1772,24 +1843,17 @@ impl<S: StateMachine> RsmrNode<S> {
                     continue;
                 };
                 // A retired instance is halted and dropped.
-                if let Some(at) = inst.retire_at {
-                    if now >= at {
-                        inst.paxos.halt();
-                        let prefix = px_prefix(epoch);
-                        let keys: Vec<String> = ctx.storage().keys_with_prefix(&prefix);
-                        for k in keys {
-                            ctx.storage().remove(&k);
-                        }
-                        self.instances.remove(&epoch);
-                        self.buffers.remove(&epoch);
-                        ctx.metrics().incr("rsmr.instances_retired", 1);
-                        continue;
-                    }
+                if inst.retire_at.is_some_and(|at| now >= at) {
+                    self.drop_instance(epoch);
+                    ctx.metrics().incr("rsmr.instances_retired", 1);
+                    continue;
                 }
                 inst.paxos.tick(now)
             };
             self.process_effects(ctx, epoch, fx);
         }
+
+        self.reclaim_keys(ctx);
 
         // Drop stashes for epochs that can no longer matter.
         if let Some(anchor) = self.anchor {
@@ -1855,7 +1919,7 @@ impl<S: StateMachine> RsmrNode<S> {
                     && self
                         .pending_transfer
                         .as_ref()
-                        .map(|pt| pt.epoch < e)
+                        .map(|pt| pt.epoch < e && !pt.streaming(now, self.tun.retire_grace))
                         .unwrap_or(true)
             })
             .map(|(&e, _)| e)
@@ -1870,6 +1934,35 @@ impl<S: StateMachine> RsmrNode<S> {
                 ctx.metrics().incr("rsmr.stash_aged_transfers", 1);
                 ctx.trace(|| format!("stash for {epoch} aged; pulling base from {first}"));
                 self.request_transfer(ctx, epoch, first, &senders);
+            }
+        }
+
+        // An anchor that sits still for twice the retire grace while this
+        // replica runs a later epoch's instance may never move: the logs
+        // it needs can be retired everywhere (it finished an older base
+        // while the group rolled on, and missed a commit). Pull the newest
+        // base instead; being anchored, it fetches a delta.
+        if let Some(anchor) = self.anchor {
+            let since = match self.anchor_watch {
+                Some((seen, since)) if seen == anchor => since,
+                _ => now,
+            };
+            self.anchor_watch = Some((anchor, since));
+            let newest = self
+                .instances
+                .iter()
+                .next_back()
+                .filter(|&(&e, _)| e > anchor.epoch)
+                .map(|(&e, inst)| (e, inst.paxos.config().peers(self.me)));
+            if let Some((epoch, peers)) = newest {
+                if now.since(since) >= self.tun.retire_grace * 2
+                    && self.pending_transfer.is_none()
+                    && !peers.is_empty()
+                {
+                    self.anchor_watch = Some((anchor, now));
+                    ctx.metrics().incr("rsmr.stuck_anchor_transfers", 1);
+                    self.request_transfer(ctx, epoch, peers[0], &peers);
+                }
             }
         }
 
@@ -1919,15 +2012,98 @@ impl<S: StateMachine> RsmrNode<S> {
                         },
                     );
                 }
-                ctx.send(
-                    closing.admin,
-                    RsmrMsg::ReconfigureReply {
-                        epoch: closing.epoch,
-                        ok: false,
-                        leader: None,
-                    },
-                );
+                if let Some((admin, _)) = closing.admin {
+                    ctx.send(
+                        admin,
+                        RsmrMsg::ReconfigureReply {
+                            epoch: closing.epoch,
+                            ok: false,
+                            leader: None,
+                        },
+                    );
+                }
             }
+        }
+
+        self.maybe_roll(ctx);
+    }
+
+    /// Rolls the log once the anchor passes [`ROLL_AFTER_SLOTS`] in the
+    /// active epoch: its leader proposes `Reconfigure` to the current
+    /// members, and the close, handoff and retirement an admin's
+    /// reconfiguration gets do the rest.
+    fn maybe_roll(&mut self, ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>) {
+        let (Some(anchor), Some(chain)) = (self.anchor, &self.chain) else {
+            return;
+        };
+        // Only with no reconfiguration in flight: none proposed here, and
+        // no close applied that the chain already records.
+        if self.closing.is_some()
+            || anchor.next_slot.0 < ROLL_AFTER_SLOTS
+            || chain.latest_epoch() != anchor.epoch
+        {
+            return;
+        }
+        let members = chain.latest_config().members().to_vec();
+        let epoch = anchor.epoch;
+        let Some(inst) = self.instances.get_mut(&epoch) else {
+            return;
+        };
+        if !inst.paxos.is_leader() {
+            return;
+        }
+        let (fx, outcome) = inst.paxos.propose(Cmd::Reconfigure { members }, ctx.now());
+        if matches!(outcome, ProposeOutcome::Accepted) {
+            self.closing = Some(Closing {
+                epoch,
+                admin: None,
+                proposed_at: ctx.now(),
+            });
+            ctx.emit_event(DomainEvent::ReconfigProposed { epoch: epoch.0 });
+        }
+        self.process_effects(ctx, epoch, fx);
+    }
+
+    /// Drops every epoch below `epoch`: this replica is anchored past
+    /// them, so their instances and persisted acceptor state are dead
+    /// weight (and a restart inside the retire grace leaves the latter
+    /// behind).
+    fn drop_epochs_below(&mut self, epoch: Epoch) {
+        let stale: Vec<Epoch> = self
+            .chain
+            .iter()
+            .flat_map(|c| c.iter())
+            .map(|(e, _)| e)
+            .take_while(|&e| e < epoch)
+            .collect();
+        for e in stale {
+            self.drop_instance(e);
+        }
+    }
+
+    /// Halts and drops `epoch`'s instance together with its buffered
+    /// commits, and queues its persisted acceptor state for deletion.
+    fn drop_instance(&mut self, epoch: Epoch) {
+        if let Some(mut inst) = self.instances.remove(&epoch) {
+            inst.paxos.halt();
+        }
+        self.buffers.remove(&epoch);
+        self.reclaim.insert(epoch);
+    }
+
+    /// Deletes up to [`RECLAIM_KEYS_PER_TICK`] `px/` keys of dropped
+    /// epochs. Nothing reads them again: recovery rebuilds only epochs at
+    /// or above the persisted anchor, and no instance below the anchor is
+    /// ever recreated.
+    fn reclaim_keys(&mut self, ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>) {
+        let mut budget = RECLAIM_KEYS_PER_TICK;
+        while let Some(&epoch) = self.reclaim.first() {
+            let removed = ctx.storage().remove_prefix(&px_prefix(epoch), budget);
+            if removed == budget {
+                return;
+            }
+            budget -= removed;
+            self.reclaim.remove(&epoch);
         }
     }
 
@@ -1979,6 +2155,7 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
                     self.persist_base(ctx, &base);
                 }
             }
+            self.drop_epochs_below(anchor.epoch);
         }
         ctx.set_timer(self.tun.tick, 0);
     }

@@ -730,7 +730,7 @@ mod tests {
     /// encoding never decode and never panic.
     #[test]
     fn fuzz_manifest_truncations_are_rejected() {
-        let mut rng = simnet::SimRng::seed_from_u64(0xC4F0_01);
+        let mut rng = simnet::SimRng::seed_from_u64(0xC4F001);
         for _ in 0..100 {
             let bytes = wire::to_bytes(&random_manifest(&mut rng));
             for cut in 0..bytes.len() {
@@ -743,7 +743,7 @@ mod tests {
     /// not at all; `encoded_size` stays exact on everything that decodes.
     #[test]
     fn fuzz_manifest_bit_flips_never_panic() {
-        let mut rng = simnet::SimRng::seed_from_u64(0xC4F0_02);
+        let mut rng = simnet::SimRng::seed_from_u64(0xC4F002);
         for _ in 0..200 {
             let m = random_manifest(&mut rng);
             let mut bytes = wire::to_bytes(&m);
@@ -759,7 +759,7 @@ mod tests {
     /// Seeded fuzz (manifest codec): trailing garbage is always rejected.
     #[test]
     fn fuzz_manifest_trailing_garbage_is_rejected() {
-        let mut rng = simnet::SimRng::seed_from_u64(0xC4F0_03);
+        let mut rng = simnet::SimRng::seed_from_u64(0xC4F003);
         for _ in 0..100 {
             let mut bytes = wire::to_bytes(&random_manifest(&mut rng));
             for _ in 0..rng.gen_range(1usize..9) {
@@ -772,7 +772,7 @@ mod tests {
     /// Seeded fuzz (manifest codec): random byte soup never panics.
     #[test]
     fn fuzz_manifest_random_bytes_never_panic() {
-        let mut rng = simnet::SimRng::seed_from_u64(0xC4F0_04);
+        let mut rng = simnet::SimRng::seed_from_u64(0xC4F004);
         for _ in 0..500 {
             let bytes: Vec<u8> = (0..rng.gen_range(0usize..160))
                 .map(|_| rng.gen_range(0u64..256) as u8)
@@ -786,7 +786,7 @@ mod tests {
     /// fail reassembly cleanly. Never a panic, never a silent apply.
     #[test]
     fn fuzz_mangled_chunks_never_assemble_silently() {
-        let mut rng = simnet::SimRng::seed_from_u64(0xC4F0_05);
+        let mut rng = simnet::SimRng::seed_from_u64(0xC4F005);
         for _ in 0..200 {
             let base = random_base(&mut rng);
             let plan = TransferPlan::full(&base, rng.gen_range(1usize..128));

@@ -629,3 +629,61 @@ fn deterministic_replay_same_seed_same_outcome() {
     };
     assert_eq!(run(42), run(42));
 }
+
+#[test]
+fn an_admin_is_acknowledged_only_for_the_members_it_asked_for() {
+    // Two leaders each accept a `Reconfigure`: the partitioned old leader
+    // proposes admin A's, the majority's new leader commits admin B's.
+    // When the old leader applies B's close, A must hear `ok: false` and
+    // retry, not an acknowledgement of a membership that never happened.
+    let mut w = World::new(21, 3);
+    for id in [3, 4] {
+        w.add_joiner(NodeId(id));
+    }
+    w.sim.run_for(SimDuration::from_millis(400));
+    let leader = w
+        .servers
+        .clone()
+        .into_iter()
+        .find(|&s| w.server(s).is_some_and(|n| n.is_active_leader()))
+        .expect("leader elected");
+    let others: Vec<NodeId> = w.servers.iter().copied().filter(|&s| s != leader).collect();
+    w.sim.partition(&[leader], &others);
+
+    let ask_a: Vec<NodeId> = w.servers.iter().copied().chain([NodeId(3)]).collect();
+    let ask_b: Vec<NodeId> = w.servers.iter().copied().chain([NodeId(4)]).collect();
+    let (admin_a, admin_b) = (NodeId(97), NodeId(98));
+    let a_targets: Vec<NodeId> = std::iter::once(leader).chain(others.clone()).collect();
+    let now = w.sim.now();
+    w.sim.add_node_with_id(
+        admin_a,
+        Node::Admin(AdminActor::new(a_targets, vec![(now, ask_a.clone())])),
+    );
+    // The majority elects a new leader, which commits B's request; the
+    // partition heals before A's retry timer and the old leader's
+    // closing timeout could resolve A any other way.
+    w.sim.run_for(SimDuration::from_millis(340));
+    let now = w.sim.now();
+    w.sim.add_node_with_id(
+        admin_b,
+        Node::Admin(AdminActor::new(others.clone(), vec![(now, ask_b.clone())])),
+    );
+    w.sim.run_for(SimDuration::from_millis(40));
+    w.sim.heal_all();
+    w.sim.run_for(SimDuration::from_secs(10));
+
+    let chain = w.server(others[0]).unwrap().chain().unwrap().clone();
+    for (admin, asked) in [(admin_a, &ask_a), (admin_b, &ask_b)] {
+        let Some(Node::Admin(a)) = w.sim.actor(admin) else {
+            unreachable!("admins never crash");
+        };
+        assert_eq!(a.results().len(), 1, "{admin} finished its script");
+        let epoch = a.results()[0].2;
+        assert_eq!(
+            chain.config(epoch),
+            Some(&StaticConfig::new(asked.clone())),
+            "{admin} was acknowledged for epoch {epoch}, which has other members"
+        );
+    }
+    w.assert_invariants();
+}

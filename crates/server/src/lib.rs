@@ -56,6 +56,9 @@ pub struct ServerSummary {
     pub net_sent: u64,
     /// Messages delivered to this replica.
     pub net_delivered: u64,
+    /// Most keys the stable store held, sampled once per serve-loop
+    /// iteration. Log rolls keep it bounded however long the run.
+    pub store_keys_max: usize,
 }
 
 /// Builds the replica's actor from its (possibly recovered) stable store.
@@ -175,11 +178,13 @@ pub fn serve(cfg: &ServerConfig, stop: &AtomicBool) -> io::Result<ServerSummary>
         (cfg.stats_interval_secs > 0).then(|| Duration::from_secs(cfg.stats_interval_secs));
     let mut next_refresh = Instant::now();
     let mut next_stats = stats_every.map(|d| started + d);
+    let mut store_keys_max = rt.store().len();
     while !stop.load(Ordering::SeqCst) {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
         rt.run_for(Duration::from_millis(50));
+        store_keys_max = store_keys_max.max(rt.store().len());
         if Instant::now() >= next_refresh {
             pump.refresh(cfg.node_id, &rt, &spans.borrow());
             next_refresh = Instant::now() + REFRESH_INTERVAL;
@@ -195,7 +200,7 @@ pub fn serve(cfg: &ServerConfig, stop: &AtomicBool) -> io::Result<ServerSummary>
     }
 
     pump.refresh(cfg.node_id, &rt, &spans.borrow());
-    let summary = summarize(cfg, recovered_groups, &rt);
+    let summary = summarize(cfg, recovered_groups, store_keys_max, &rt);
     if let Some(f) = &mut events_file {
         let spans = spans.borrow();
         f.write_all(events_jsonl(&summary, &spans).as_bytes())?;
@@ -333,6 +338,7 @@ fn stats_line(node: u64, started: Instant, rt: &NodeRuntime<ReplicaActor>) -> St
 fn summarize(
     cfg: &ServerConfig,
     recovered_groups: usize,
+    store_keys_max: usize,
     rt: &NodeRuntime<ReplicaActor>,
 ) -> ServerSummary {
     let mut anchored = Vec::new();
@@ -350,6 +356,7 @@ fn summarize(
         ops_applied: ops,
         net_sent: rt.metrics().counter("net.sent"),
         net_delivered: rt.metrics().counter("net.delivered"),
+        store_keys_max,
     }
 }
 
@@ -361,9 +368,9 @@ fn events_jsonl(summary: &ServerSummary, spans: &Spans) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"event\":\"server_summary\",\"node\":{},\"recovered_groups\":{},\"ops_applied\":{},\"net_sent\":{},\"net_delivered\":{}}}",
+        "{{\"event\":\"server_summary\",\"node\":{},\"recovered_groups\":{},\"ops_applied\":{},\"net_sent\":{},\"net_delivered\":{},\"store_keys_max\":{}}}",
         summary.node, summary.recovered_groups, summary.ops_applied, summary.net_sent,
-        summary.net_delivered
+        summary.net_delivered, summary.store_keys_max
     );
     let opt = |d: Option<simnet::SimDuration>| match d {
         Some(d) => d.as_micros().to_string(),
@@ -439,6 +446,7 @@ mod tests {
             ops_applied: 17,
             net_sent: 5,
             net_delivered: 6,
+            store_keys_max: 7,
         };
         let text = events_jsonl(&summary, &Spans::new());
         let lines: Vec<_> = text.lines().collect();

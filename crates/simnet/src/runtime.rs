@@ -7,8 +7,10 @@
 //! metrics counters, the same typed event stream — but messages travel as
 //! [`crate::wire::Wire`] frames over a transport, timers fire off the
 //! wall clock, and every storage mutation is written through to the
-//! backend *before* the frames emitted by the same callback leave the
-//! process (the write-ahead discipline consensus actors assume).
+//! backend *before* the frames emitted in the same drain pass leave the
+//! process (the write-ahead discipline consensus actors assume). A pass
+//! dispatches every frame already queued, so one flush (one fsync)
+//! covers all of them.
 //!
 //! The actor cannot tell the difference; that is the point. A protocol is
 //! developed and model-checked under the simulator, then deployed by
@@ -54,6 +56,11 @@ impl Default for RuntimeConfig {
         }
     }
 }
+
+/// Most transport events one drain pass dispatches before it flushes:
+/// bounds how long the pass holds its first frame's reply, and keeps a
+/// frame flood from starving timers and the caller's deadline.
+const MAX_FRAMES_PER_PASS: usize = 256;
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
@@ -182,49 +189,42 @@ where
         self.run_callback(|actor, ctx| actor.on_start(ctx));
     }
 
-    /// One pump iteration: fire due timers, drain self-sends, then wait up
-    /// to `max_wait` for one transport event and dispatch it. Returns
+    /// One drain pass: wait up to `max_wait` for a transport event, then
+    /// dispatch it and every further event already queued (at most
+    /// `MAX_FRAMES_PER_PASS`), fire due timers and drain self-sends.
+    /// Every handler of the pass emits into one buffer; the pass then
+    /// flushes storage once and releases the buffered frames. Returns
     /// `true` when any callback ran.
     pub fn step(&mut self, max_wait: Duration) -> bool {
         self.start();
-        let mut progressed = self.fire_due_timers();
-        progressed |= self.drain_self_sends();
+        let mut out = std::mem::take(&mut self.emit_scratch);
 
+        // Nothing is dispatched before the poll, so the pass never blocks
+        // while it holds unflushed effects.
         let mut wait = max_wait.min(self.cfg.poll_slice);
-        let now = self.clock.now();
+        if !self.selfq.is_empty() {
+            wait = Duration::ZERO;
+        }
         if let Some(Reverse(next)) = self.timers.peek() {
-            let until = next.at.as_micros().saturating_sub(now.as_micros());
+            let until = next
+                .at
+                .as_micros()
+                .saturating_sub(self.clock.now().as_micros());
             wait = wait.min(Duration::from_micros(until));
         }
-        match self.transport.poll(wait) {
-            Some(TransportEvent::Frame { from, payload }) => {
-                let bytes = payload.len() as u64;
-                match wire::from_bytes::<A::Msg>(&payload) {
-                    Some(msg) => {
-                        self.metrics.net.delivered += 1;
-                        self.metrics.net.bytes += bytes;
-                        let label = msg.label();
-                        let to = self.node;
-                        self.bus
-                            .emit_with(now, || SimEvent::MsgDelivered { from, to, label });
-                        self.run_callback(|actor, ctx| actor.on_message(ctx, from, msg));
-                        progressed = true;
-                    }
-                    None => {
-                        self.metrics.incr("rt.decode_errors", 1);
-                    }
-                }
-            }
-            Some(TransportEvent::PeerConnected(_)) => {
-                self.metrics.incr("rt.peer_connects", 1);
-            }
-            Some(TransportEvent::PeerDisconnected(_)) => {
-                self.metrics.incr("rt.peer_disconnects", 1);
-            }
-            None => {}
+        let mut progressed = false;
+        for _ in 0..MAX_FRAMES_PER_PASS {
+            let Some(event) = self.transport.poll(wait) else {
+                break;
+            };
+            wait = Duration::ZERO;
+            progressed |= self.dispatch_event(event, &mut out);
         }
-        progressed |= self.fire_due_timers();
-        progressed | self.drain_self_sends()
+        progressed |= self.fire_due_timers(&mut out);
+        progressed |= self.drain_self_sends(&mut out);
+        self.finish_pass(&mut out);
+        self.emit_scratch = out;
+        progressed
     }
 
     /// Pumps for `wall` of real time.
@@ -272,7 +272,7 @@ where
         self.actor
     }
 
-    fn fire_due_timers(&mut self) -> bool {
+    fn fire_due_timers(&mut self, out: &mut Vec<Emit<A::Msg>>) -> bool {
         let mut fired = false;
         // Bounded pass: only timers due when the pass began, and at most
         // as many firings as the heap held at entry. A callback that
@@ -301,14 +301,14 @@ where
             let kind = e.kind;
             self.bus
                 .emit_with(now, || SimEvent::TimerFired { node, kind });
-            self.run_callback(|actor, ctx| {
+            self.callback(out, |actor, ctx| {
                 actor.on_timer(ctx, Timer { id: e.id, kind });
             });
             fired = true;
         }
     }
 
-    fn drain_self_sends(&mut self) -> bool {
+    fn drain_self_sends(&mut self, out: &mut Vec<Emit<A::Msg>>) -> bool {
         let mut any = false;
         // Same bounding as `fire_due_timers`: deliver only the self-sends
         // queued when the pass began, so a handler that replies to itself
@@ -328,35 +328,81 @@ where
                 to: node,
                 label,
             });
-            self.run_callback(|actor, ctx| actor.on_message(ctx, node, msg));
+            self.callback(out, |actor, ctx| actor.on_message(ctx, node, msg));
             any = true;
         }
         any
     }
 
+    /// Dispatches one transport event into the pass's emit buffer.
+    /// Returns `true` when it ran a callback.
+    fn dispatch_event(&mut self, event: TransportEvent, out: &mut Vec<Emit<A::Msg>>) -> bool {
+        match event {
+            TransportEvent::Frame { from, payload } => {
+                let Some(msg) = wire::from_bytes::<A::Msg>(&payload) else {
+                    self.metrics.incr("rt.decode_errors", 1);
+                    return false;
+                };
+                self.metrics.net.delivered += 1;
+                self.metrics.net.bytes += payload.len() as u64;
+                let label = msg.label();
+                let to = self.node;
+                self.bus
+                    .emit_with(self.clock.now(), || SimEvent::MsgDelivered {
+                        from,
+                        to,
+                        label,
+                    });
+                self.callback(out, |actor, ctx| actor.on_message(ctx, from, msg));
+                true
+            }
+            TransportEvent::PeerConnected(_) => {
+                self.metrics.incr("rt.peer_connects", 1);
+                false
+            }
+            TransportEvent::PeerDisconnected(_) => {
+                self.metrics.incr("rt.peer_disconnects", 1);
+                false
+            }
+        }
+    }
+
+    /// Runs one callback as a pass of its own.
     fn run_callback(&mut self, f: impl FnOnce(&mut A, &mut Context<'_, A::Msg>)) {
         let mut out = std::mem::take(&mut self.emit_scratch);
-        let now = self.clock.now();
-        {
-            let mut ctx = Context {
-                node: self.node,
-                now,
-                rng: &mut self.rng,
-                out: &mut out,
-                storage: &mut self.store,
-                key_prefix: "",
-                metrics: &mut self.metrics,
-                next_timer_id: &mut self.next_timer_id,
-                trace: &mut self.trace,
-                bus: &mut self.bus,
-            };
-            f(&mut self.actor, &mut ctx);
-        }
-        // Durability before visibility: mutations hit the backend before
-        // any frame emitted by this callback leaves the process.
-        self.flush_storage();
-        self.apply_emits(now, &mut out);
+        self.callback(&mut out, f);
+        self.finish_pass(&mut out);
         self.emit_scratch = out;
+    }
+
+    /// Runs one actor callback, buffering its effects in `out`. Storage
+    /// mutations stay in the in-memory store until the pass flushes.
+    fn callback(
+        &mut self,
+        out: &mut Vec<Emit<A::Msg>>,
+        f: impl FnOnce(&mut A, &mut Context<'_, A::Msg>),
+    ) {
+        let mut ctx = Context {
+            node: self.node,
+            now: self.clock.now(),
+            rng: &mut self.rng,
+            out,
+            storage: &mut self.store,
+            key_prefix: "",
+            metrics: &mut self.metrics,
+            next_timer_id: &mut self.next_timer_id,
+            trace: &mut self.trace,
+            bus: &mut self.bus,
+        };
+        f(&mut self.actor, &mut ctx);
+    }
+
+    /// Durability before visibility: every mutation of the pass hits the
+    /// backend before any frame the pass emitted leaves the process.
+    fn finish_pass(&mut self, out: &mut Vec<Emit<A::Msg>>) {
+        self.flush_storage();
+        let now = self.clock.now();
+        self.apply_emits(now, out);
     }
 
     fn flush_storage(&mut self) {
@@ -438,8 +484,10 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
-    use crate::transport::{ChannelHub, ManualClock, MemStorage, NullTransport};
+    use crate::transport::{ChannelHub, ChannelTransport, ManualClock, MemStorage, NullTransport};
     use crate::SimDuration;
 
     /// Echoes pings back incremented; persists the highest value seen; a
@@ -661,10 +709,96 @@ mod tests {
         for _ in 0..5 {
             assert!(rt.step(Duration::ZERO), "bounded progress each step");
         }
-        // Each step fires the one due timer per drain pass (two passes per
-        // step), never more: the re-armed duplicate waits for the next step.
+        // Each step fires the one due timer once, never more: the re-armed
+        // duplicate waits for the next step.
         let ticks = rt.actor().ticks;
         assert!((1..=10).contains(&ticks), "got {ticks} ticks");
+    }
+
+    type Log = Arc<Mutex<Vec<&'static str>>>;
+
+    /// Records every backend write and sync into a shared log.
+    struct LoggedStorage(Log);
+
+    impl StorageBackend for LoggedStorage {
+        fn load(&mut self) -> std::io::Result<StableStore> {
+            Ok(StableStore::new())
+        }
+        fn apply(&mut self, _key: &str, _value: Option<&[u8]>) -> std::io::Result<()> {
+            self.0.lock().unwrap().push("apply");
+            Ok(())
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.0.lock().unwrap().push("sync");
+            Ok(())
+        }
+    }
+
+    /// Records every outgoing frame into the same log as the storage.
+    struct LoggedTransport(ChannelTransport, Log);
+
+    impl Transport for LoggedTransport {
+        fn send(&mut self, to: NodeId, payload: Vec<u8>) -> bool {
+            self.1.lock().unwrap().push("send");
+            self.0.send(to, payload)
+        }
+        fn poll(&mut self, timeout: Duration) -> Option<TransportEvent> {
+            self.0.poll(timeout)
+        }
+    }
+
+    #[test]
+    fn a_drain_pass_syncs_once_before_any_reply_leaves() {
+        const N: usize = 8;
+        let hub = ChannelHub::new();
+        let log = Log::default();
+        let mut rt = NodeRuntime::new(
+            NodeId(1),
+            Echo {
+                received: 0,
+                timer_fired: false,
+            },
+            ManualClock::new(),
+            LoggedTransport(hub.endpoint(NodeId(1)), Arc::clone(&log)),
+            LoggedStorage(Arc::clone(&log)),
+            StableStore::new(),
+            RuntimeConfig::default(),
+        );
+        rt.start();
+        let mut peer = hub.endpoint(NodeId(2));
+        for _ in 0..N {
+            assert!(peer.send(NodeId(1), wire::to_bytes(&Ping(0))));
+        }
+        assert!(rt.step(Duration::ZERO));
+        assert_eq!(rt.actor().received as usize, N, "one pass takes them all");
+        // Every handler wrote the same key: one write, one sync, and only
+        // then the N replies.
+        let mut expected = vec!["apply", "sync"];
+        expected.extend(["send"; N]);
+        assert_eq!(*log.lock().unwrap(), expected);
+        assert_eq!(rt.metrics().counter("rt.storage_flushes"), 1);
+        for _ in 0..N {
+            assert!(matches!(
+                peer.poll(Duration::ZERO),
+                Some(TransportEvent::Frame { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_frame_flood_larger_than_the_cap_still_returns_from_step() {
+        let hub = ChannelHub::new();
+        let mut rt = echo_runtime(&hub, 1, ManualClock::new());
+        let mut peer = hub.endpoint(NodeId(2));
+        let flood = MAX_FRAMES_PER_PASS + 10;
+        for _ in 0..flood {
+            // Ping(3) needs no reply.
+            assert!(peer.send(NodeId(1), wire::to_bytes(&Ping(3))));
+        }
+        assert!(rt.step(Duration::ZERO));
+        assert_eq!(rt.actor().received as usize, MAX_FRAMES_PER_PASS);
+        assert!(rt.step(Duration::ZERO));
+        assert_eq!(rt.actor().received as usize, flood);
     }
 
     #[test]

@@ -36,8 +36,8 @@ impl StableStore {
     /// [`StableStore::take_dirty`] drains the accumulated set.
     ///
     /// The real runtime (see [`crate::runtime`]) uses this to flush only
-    /// mutated keys to its [`crate::transport::StorageBackend`] after each
-    /// actor callback. The simulator never enables it, so simulated runs are
+    /// mutated keys to its [`crate::transport::StorageBackend`] at the end of
+    /// each drain pass. The simulator never enables it, so simulated runs are
     /// byte-for-byte unaffected.
     pub fn enable_journal(&mut self) {
         if self.dirty.is_none() {
@@ -114,6 +114,21 @@ impl StableStore {
             .range(prefix.to_owned()..)
             .take_while(move |(k, _)| k.starts_with(prefix))
             .map(|(k, _)| k.as_str())
+    }
+
+    /// Removes up to `limit` keys under `prefix`, in lexicographic order,
+    /// and returns how many it removed, so a large key range can be
+    /// deleted a slice at a time.
+    pub fn remove_prefix(&mut self, prefix: &str, limit: usize) -> usize {
+        let keys: Vec<String> = self
+            .keys_with_prefix(prefix)
+            .take(limit)
+            .map(str::to_owned)
+            .collect();
+        for key in &keys {
+            self.remove(key);
+        }
+        keys.len()
     }
 
     /// Extracts the sub-store under `prefix` as a standalone store whose
@@ -195,6 +210,13 @@ impl<'a> ScopedStore<'a> {
         Some(u64::from_le_bytes(arr))
     }
 
+    /// Removes up to `limit` keys under `prefix`; see
+    /// [`StableStore::remove_prefix`].
+    pub fn remove_prefix(&mut self, prefix: &str, limit: usize) -> usize {
+        let full = self.full(prefix);
+        self.store.remove_prefix(&full, limit)
+    }
+
     /// Collects the keys under `prefix` (scope-relative, scope stripped),
     /// in lexicographic order. Returns owned strings because the scoped
     /// prefix is materialized internally.
@@ -259,6 +281,28 @@ mod tests {
         assert_eq!(root.keys_with_prefix("g0/"), vec!["g0/base", "g0/term"]);
         root.put("top", vec![9]);
         assert_eq!(s.get("top"), Some(&[9u8][..]));
+    }
+
+    #[test]
+    fn remove_prefix_deletes_a_bounded_slice_and_journals_it() {
+        let mut s = StableStore::new();
+        s.enable_journal();
+        for k in [
+            "g0/px/1/a",
+            "g0/px/1/b",
+            "g0/px/1/c",
+            "g0/px/2/a",
+            "g1/px/1/a",
+        ] {
+            s.put(k, vec![1]);
+        }
+        s.take_dirty();
+        let mut g0 = ScopedStore::new(&mut s, "g0/");
+        assert_eq!(g0.remove_prefix("px/1/", 2), 2);
+        assert_eq!(g0.remove_prefix("px/1/", 2), 1);
+        assert_eq!(g0.remove_prefix("px/1/", 2), 0);
+        assert_eq!(s.take_dirty(), vec!["g0/px/1/a", "g0/px/1/b", "g0/px/1/c"]);
+        assert_eq!(s.len(), 2, "other epochs and scopes survive");
     }
 
     #[test]

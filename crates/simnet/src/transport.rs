@@ -179,8 +179,8 @@ impl Transport for NullTransport {
 /// Durable write-through storage behind a [`StableStore`].
 ///
 /// The runtime loads the full store once at start, then applies every
-/// mutated key after each actor callback *before* any frame emitted by that
-/// callback is visible to peers — the write-ahead discipline Paxos
+/// mutated key at the end of each drain pass *before* any frame emitted
+/// during that pass is visible to peers — the write-ahead discipline Paxos
 /// acceptors rely on.
 pub trait StorageBackend: Send {
     /// Reads the complete persisted state (empty store on first boot).
