@@ -110,7 +110,7 @@ pub enum FaultKind {
     /// backend: the node crashes now and recovers from its last consistent
     /// prefix (torn tails and rotten records are truncated at detection,
     /// never applied). The byte-level flavours are exercised for real
-    /// against `FileStorage` in the transport tests.
+    /// against `FileStorage` in its own tests (`simnet/src/wal.rs`).
     Disk {
         /// Which byte-level failure this models.
         fault: DiskFault,

@@ -76,6 +76,7 @@ pub mod telemetry;
 mod time;
 mod trace;
 pub mod transport;
+mod wal;
 pub mod wire;
 
 pub use actor::{Actor, Context, Message, Timer, TimerId};

@@ -1,0 +1,1071 @@
+//! Stable-storage backends for the real runtime: the [`StorageBackend`]
+//! trait, the segmented on-disk log [`FileStorage`], the volatile
+//! [`MemStorage`] and the fault-injecting [`FaultyStorage`] decorator.
+//!
+//! Everything here is re-exported from [`crate::transport`] and the crate
+//! root. See `DESIGN.md` §12 for the on-disk format and the cleaning rule.
+
+use std::collections::{HashMap, VecDeque};
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+use crate::storage::StableStore;
+use crate::telemetry::{Counter, HistogramHandle, Registry};
+use crate::wire::crc32c;
+
+/// Durable write-through storage behind a [`StableStore`].
+///
+/// The runtime loads the full store once at start, then applies every
+/// mutated key at the end of each drain pass *before* any frame emitted
+/// during that pass is visible to peers — the write-ahead discipline Paxos
+/// acceptors rely on.
+pub trait StorageBackend: Send {
+    /// Reads the complete persisted state (empty store on first boot).
+    fn load(&mut self) -> io::Result<StableStore>;
+
+    /// Persists one key: `Some` overwrites, `None` deletes.
+    fn apply(&mut self, key: &str, value: Option<&[u8]>) -> io::Result<()>;
+
+    /// Makes all prior [`StorageBackend::apply`] calls durable (e.g. fsync
+    /// of the directory). Called once per batch of applies.
+    fn sync(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl StorageBackend for Box<dyn StorageBackend> {
+    fn load(&mut self) -> io::Result<StableStore> {
+        (**self).load()
+    }
+    fn apply(&mut self, key: &str, value: Option<&[u8]>) -> io::Result<()> {
+        (**self).apply(key, value)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        (**self).sync()
+    }
+}
+
+/// A [`StorageBackend`] that persists nothing — state lives only in the
+/// in-memory [`StableStore`]. For tests and throwaway runs.
+#[derive(Default)]
+pub struct MemStorage;
+
+impl StorageBackend for MemStorage {
+    fn load(&mut self) -> io::Result<StableStore> {
+        Ok(StableStore::new())
+    }
+    fn apply(&mut self, _key: &str, _value: Option<&[u8]>) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A fault-injecting [`StorageBackend`] decorator: models a disk whose
+/// fsync lies — [`StorageBackend::sync`] reports success without flushing
+/// anything — for a scripted number of calls. Used to prove recovery
+/// stays consistent (a truncated-prefix state, never a corrupt one) when
+/// acknowledged writes turn out not to be durable.
+pub struct FaultyStorage<S: StorageBackend> {
+    inner: S,
+    lie_syncs: u64,
+    lied: u64,
+}
+
+impl<S: StorageBackend> FaultyStorage<S> {
+    /// Wraps `inner` with honest syncs.
+    pub fn new(inner: S) -> Self {
+        FaultyStorage {
+            inner,
+            lie_syncs: 0,
+            lied: 0,
+        }
+    }
+
+    /// The next `n` [`StorageBackend::sync`] calls return `Ok` without
+    /// touching the inner backend.
+    pub fn lie_on_syncs(mut self, n: u64) -> Self {
+        self.lie_syncs = n;
+        self
+    }
+
+    /// Syncs lied about so far.
+    pub fn lied(&self) -> u64 {
+        self.lied
+    }
+
+    /// The wrapped backend.
+    pub fn into_inner(self) -> S {
+        self.inner
+    }
+}
+
+impl<S: StorageBackend> StorageBackend for FaultyStorage<S> {
+    fn load(&mut self) -> io::Result<StableStore> {
+        self.inner.load()
+    }
+    fn apply(&mut self, key: &str, value: Option<&[u8]>) -> io::Result<()> {
+        self.inner.apply(key, value)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        if self.lie_syncs > 0 {
+            self.lie_syncs -= 1;
+            self.lied += 1;
+            return Ok(());
+        }
+        self.inner.sync()
+    }
+}
+
+/// Log-structured durable storage: a chain of append-only segment files
+/// `seg-<id:016x>` in one directory, cleaned oldest-first (DESIGN §12).
+///
+/// Every [`StorageBackend::apply`] appends one CRC-checked record to the
+/// active (newest) segment — a buffered write, no per-key files. No value
+/// is held in memory: only an index from each live key to its latest PUT
+/// record, and each segment's total and live bytes.
+/// [`StorageBackend::sync`] flushes the batch to the OS (and, with
+/// `fsync`, to the device), seals the active segment once it has passed
+/// [`FileStorage::SEGMENT_BYTES`], and cleans the oldest segment when the
+/// log holds more than twice its live bytes plus one segment.
+///
+/// Exactly one live handle may own a directory (one replica process per
+/// storage dir): two appenders would interleave their logs.
+pub struct FileStorage {
+    dir: PathBuf,
+    /// The active segment's writer; `None` until `load` built the index.
+    active: Option<io::BufWriter<File>>,
+    /// Every segment on disk, oldest first; the last is the active one.
+    segments: VecDeque<Segment>,
+    /// Each live key's latest PUT record.
+    index: HashMap<String, Loc>,
+    /// The sums of the segments' `bytes` and `live`.
+    log_bytes: u64,
+    live_bytes: u64,
+    fsync: bool,
+    /// Group commit: defer device syncs so at most one fsync happens per
+    /// window. Zero (the default) syncs on every [`StorageBackend::sync`].
+    sync_window: Duration,
+    /// When the last device sync completed (group-commit bookkeeping).
+    last_fsync: Option<Instant>,
+    /// Bytes were flushed to the OS but not yet synced to the device.
+    pending_sync: bool,
+    /// Device syncs issued on the log (observability for tests).
+    fsyncs: u64,
+    /// Records rejected by the CRC/framing check at load time.
+    corrupt_records: u64,
+    /// Telemetry handles, when a registry was attached.
+    stats: Option<StorageStats>,
+}
+
+/// A segment file's written bytes and live (indexed) bytes.
+#[derive(Copy, Clone)]
+struct Segment {
+    id: u64,
+    bytes: u64,
+    live: u64,
+}
+
+impl Segment {
+    fn new(id: u64) -> Self {
+        Segment {
+            id,
+            bytes: 0,
+            live: 0,
+        }
+    }
+}
+
+/// Where a key's latest PUT record sits.
+#[derive(Copy, Clone)]
+struct Loc {
+    seg: u64,
+    off: u64,
+    len: u64,
+}
+
+impl Loc {
+    fn new(seg: u64, off: u64, len: usize) -> Self {
+        let len = len as u64;
+        Loc { seg, off, len }
+    }
+}
+
+/// The `storage.*` telemetry handles of one [`FileStorage`] (DESIGN §9).
+/// Timings use the wall clock — this backend only runs in real processes,
+/// so determinism is not at stake.
+struct StorageStats {
+    /// Bytes appended to the log per applied record.
+    wal_append_bytes: HistogramHandle,
+    /// Device sync latency, µs.
+    fsync_us: HistogramHandle,
+    /// One segment clean, µs.
+    compaction_us: HistogramHandle,
+    /// `sync()` batches folded into each device sync — the group-commit
+    /// window fill (1 = no batching happened).
+    group_commit_fill: HistogramHandle,
+    /// Records rejected at load time by a CRC/framing check. Registered
+    /// eagerly so the series exposes as `0` on a healthy node instead of
+    /// being absent.
+    wal_corrupt_records: Counter,
+    /// Batches deferred so far in the current window.
+    window_syncs: u64,
+}
+
+impl StorageStats {
+    fn new(registry: &Registry) -> Self {
+        StorageStats {
+            wal_append_bytes: registry.histogram("storage.wal_append_bytes"),
+            fsync_us: registry.histogram("storage.fsync_us"),
+            compaction_us: registry.histogram("storage.compaction_us"),
+            group_commit_fill: registry.histogram("storage.group_commit_fill"),
+            wal_corrupt_records: registry.counter("storage.wal_corrupt_records"),
+            window_syncs: 0,
+        }
+    }
+}
+
+const WAL_PUT: u8 = 1;
+const WAL_DEL: u8 = 2;
+
+/// A record parsed off the front of a segment.
+enum Record<'a> {
+    Put(&'a str, &'a [u8]),
+    Del(&'a str),
+}
+
+/// A complete record whose tag, CRC or key failed its check.
+struct Corrupt;
+
+fn encode_record(buf: &mut Vec<u8>, key: &str, value: Option<&[u8]>) {
+    let start = buf.len();
+    match value {
+        Some(v) => {
+            buf.push(WAL_PUT);
+            buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            buf.extend_from_slice(key.as_bytes());
+            buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            buf.extend_from_slice(v);
+        }
+        None => {
+            buf.push(WAL_DEL);
+            buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            buf.extend_from_slice(key.as_bytes());
+        }
+    }
+    // Per-record CRC-32C over everything from the tag on: a flipped bit
+    // anywhere in the record (or its trailer) fails verification at
+    // replay, and the segment is truncated there instead of applying
+    // corrupted state.
+    let crc = crc32c::checksum(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Parses the record at the front of `bytes` and returns it with its
+/// length. `Ok(None)` is a clean end or a torn tail (a record cut short
+/// by a crash mid-append); `Err` is a complete record failing its check.
+fn parse_record(bytes: &[u8]) -> Result<Option<(Record<'_>, usize)>, Corrupt> {
+    let u32_at = |at: usize| {
+        let field = bytes.get(at..at + 4)?;
+        Some(u32::from_le_bytes(field.try_into().expect("4 bytes")) as usize)
+    };
+    let (Some(&tag), Some(klen)) = (bytes.first(), u32_at(1)) else {
+        return Ok(None);
+    };
+    let key_end = 5 + klen;
+    let body_end = match (tag, u32_at(key_end)) {
+        (WAL_PUT, Some(vlen)) => key_end + 4 + vlen,
+        (WAL_PUT, None) => return Ok(None),
+        (WAL_DEL, _) => key_end,
+        // A complete-looking record with an unknown tag is corruption,
+        // not a torn tail.
+        _ => return Err(Corrupt),
+    };
+    let Some(crc) = u32_at(body_end) else {
+        return Ok(None); // trailer torn off mid-append
+    };
+    if crc32c::checksum(&bytes[..body_end]) as usize != crc {
+        return Err(Corrupt);
+    }
+    // CRC passed, so the key bytes are exactly what the writer framed;
+    // non-UTF-8 here means a writer bug, not bit rot.
+    let key = std::str::from_utf8(&bytes[5..key_end]).map_err(|_| Corrupt)?;
+    let record = match tag {
+        WAL_PUT => Record::Put(key, &bytes[key_end + 4..body_end]),
+        _ => Record::Del(key),
+    };
+    Ok(Some((record, body_end + 4)))
+}
+
+impl FileStorage {
+    /// Seal the active segment at the first sync boundary past this size.
+    pub const SEGMENT_BYTES: u64 = 4 << 20;
+
+    /// Opens (creating if needed) the storage directory.
+    pub fn open(dir: impl Into<PathBuf>, fsync: bool) -> io::Result<Self> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        Ok(FileStorage {
+            dir,
+            active: None,
+            segments: VecDeque::new(),
+            index: HashMap::new(),
+            log_bytes: 0,
+            live_bytes: 0,
+            fsync,
+            sync_window: Duration::ZERO,
+            last_fsync: None,
+            pending_sync: false,
+            fsyncs: 0,
+            corrupt_records: 0,
+            stats: None,
+        })
+    }
+
+    /// Enables group commit: [`StorageBackend::sync`] still flushes every
+    /// batch to the OS, but issues at most one device sync per `window`.
+    /// Widens the durability window to at most `window` of acknowledged
+    /// writes on power loss (see OPERATIONS.md); a plain process crash
+    /// loses nothing because the OS holds the flushed bytes. No effect
+    /// when `fsync` is off.
+    pub fn with_sync_window(mut self, window: Duration) -> Self {
+        self.sync_window = window;
+        self
+    }
+
+    /// Publishes this store's `storage.*` series (log append bytes, fsync
+    /// latency, segment clean duration, group-commit window fill) into
+    /// `registry`.
+    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
+        self.stats = Some(StorageStats::new(registry));
+        self
+    }
+
+    /// Device syncs issued on the log so far.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
+    }
+
+    /// Records rejected by the CRC/framing check during
+    /// [`StorageBackend::load`]. Non-zero means a segment was truncated at
+    /// its first bad record — the rest was recovered, nothing corrupt was
+    /// applied.
+    pub fn corrupt_records(&self) -> u64 {
+        self.corrupt_records
+    }
+
+    fn segment_path(&self, id: u64) -> PathBuf {
+        self.dir.join(format!("seg-{id:016x}"))
+    }
+
+    fn segment(&mut self, id: u64) -> &mut Segment {
+        let at = self.segments.binary_search_by_key(&id, |s| s.id);
+        &mut self.segments[at.expect("the index points into live segments")]
+    }
+
+    /// Points `key` at `loc` (`None`: the key is deleted) and moves its
+    /// live bytes there. An existing entry is updated without allocating.
+    fn relocate(&mut self, key: &str, loc: Option<Loc>) {
+        let old = match (self.index.get_mut(key), loc) {
+            (Some(slot), Some(loc)) => Some(std::mem::replace(slot, loc)),
+            (None, Some(loc)) => self.index.insert(key.to_owned(), loc),
+            (_, None) => self.index.remove(key),
+        };
+        if let Some(old) = old {
+            self.segment(old.seg).live -= old.len;
+            self.live_bytes -= old.len;
+        }
+        if let Some(new) = loc {
+            self.segment(new.seg).live += new.len;
+            self.live_bytes += new.len;
+        }
+    }
+
+    /// Appends encoded records to the active segment.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<Loc> {
+        let Some(active) = self.active.as_mut() else {
+            return Err(io::Error::other("FileStorage::load must run before apply"));
+        };
+        active.write_all(bytes)?;
+        let seg = self.segments.back_mut().expect("an active segment");
+        let loc = Loc::new(seg.id, seg.bytes, bytes.len());
+        seg.bytes += loc.len;
+        self.log_bytes += loc.len;
+        Ok(loc)
+    }
+
+    /// Creates segment `id` as the active one (with `fsync`, durably).
+    fn start_segment(&mut self, id: u64) -> io::Result<()> {
+        let path = self.segment_path(id);
+        let file = File::options().create_new(true).append(true).open(path)?;
+        self.active = Some(io::BufWriter::new(file));
+        if self.fsync {
+            File::open(&self.dir)?.sync_all()?;
+        }
+        self.segments.push_back(Segment::new(id));
+        Ok(())
+    }
+
+    /// One `fdatasync` of the active segment's flushed bytes.
+    fn sync_device(&mut self) -> io::Result<()> {
+        let started = Instant::now();
+        let file = self.active.as_ref().expect("loaded").get_ref();
+        file.sync_data()?;
+        self.fsyncs += 1;
+        self.last_fsync = Some(Instant::now());
+        self.pending_sync = false;
+        if let Some(s) = &mut self.stats {
+            s.fsync_us.record(started.elapsed().as_micros() as u64);
+            s.group_commit_fill.record(s.window_syncs + 1);
+            s.window_syncs = 0;
+        }
+        Ok(())
+    }
+
+    /// Cleans the oldest segment: re-appends the records the index still
+    /// points to, makes the copies durable, then deletes the file.
+    fn clean_oldest(&mut self) -> io::Result<()> {
+        let started = Instant::now();
+        let oldest = *self.segments.front().expect("a sealed segment");
+        if oldest.live > 0 {
+            let bytes = std::fs::read(self.segment_path(oldest.id))?;
+            let mut off = 0;
+            while off < bytes.len() {
+                // The file was checked at load or written by this handle:
+                // a bad record now means the disk lost what the index needs.
+                let Ok(Some((record, len))) = parse_record(&bytes[off..]) else {
+                    return Err(io::ErrorKind::InvalidData.into());
+                };
+                if let Record::Put(key, _) = record {
+                    let at = self.index.get(key).map(|l| (l.seg, l.off));
+                    if at == Some((oldest.id, off as u64)) {
+                        let copy = self.append(&bytes[off..off + len])?;
+                        self.relocate(key, Some(copy));
+                    }
+                }
+                off += len;
+            }
+            self.active.as_mut().expect("loaded").flush()?;
+            self.pending_sync = self.fsync;
+        }
+        // What supersedes the oldest segment must reach the device before
+        // it goes, or a power loss could lose a key older than the window.
+        if self.pending_sync {
+            self.sync_device()?;
+        }
+        std::fs::remove_file(self.segment_path(oldest.id))?;
+        if self.fsync {
+            File::open(&self.dir)?.sync_all()?;
+        }
+        self.segments.pop_front();
+        self.log_bytes -= oldest.bytes;
+        if let Some(s) = &self.stats {
+            s.compaction_us.record(started.elapsed().as_micros() as u64);
+        }
+        Ok(())
+    }
+}
+
+impl StorageBackend for FileStorage {
+    fn load(&mut self) -> io::Result<StableStore> {
+        let mut store = StableStore::new();
+        let mut ids = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            let name = entry?.file_name();
+            let hex = name.to_str().and_then(|n| n.strip_prefix("seg-"));
+            ids.extend(hex.and_then(|h| u64::from_str_radix(h, 16).ok()));
+        }
+        ids.sort_unstable();
+        (self.active, self.log_bytes, self.live_bytes) = (None, 0, 0);
+        self.segments.clear();
+        self.index.clear();
+        let mut corrupt = 0;
+        for id in ids {
+            let path = self.segment_path(id);
+            let bytes = std::fs::read(&path)?;
+            self.segments.push_back(Segment::new(id));
+            let mut off = 0;
+            while let Ok(Some((record, len))) = parse_record(&bytes[off..]) {
+                let loc = Loc::new(id, off as u64, len);
+                match record {
+                    Record::Put(key, value) => {
+                        store.put(key, value.to_vec());
+                        self.relocate(key, Some(loc));
+                    }
+                    Record::Del(key) => {
+                        store.remove(key);
+                        self.relocate(key, None);
+                    }
+                }
+                off += len;
+            }
+            // A torn or corrupt record ends this segment's replay and is cut
+            // off; only a corrupt one counts. The next segment still replays
+            // on top (last write wins).
+            corrupt += u64::from(parse_record(&bytes[off..]).is_err());
+            if off < bytes.len() {
+                File::options()
+                    .write(true)
+                    .open(&path)?
+                    .set_len(off as u64)?;
+            }
+            self.segment(id).bytes = off as u64;
+            self.log_bytes += off as u64;
+        }
+        // Appends go to a new segment, so no earlier file is written again.
+        self.start_segment(self.segments.back().map_or(0, |s| s.id + 1))?;
+        self.corrupt_records += corrupt;
+        if let Some(s) = &self.stats {
+            s.wal_corrupt_records.add(corrupt);
+        }
+        Ok(store)
+    }
+
+    fn apply(&mut self, key: &str, value: Option<&[u8]>) -> io::Result<()> {
+        let mut record = Vec::with_capacity(key.len() + value.map_or(0, <[u8]>::len) + 13);
+        encode_record(&mut record, key, value);
+        let loc = self.append(&record)?;
+        if let Some(s) = &self.stats {
+            s.wal_append_bytes.record(loc.len);
+        }
+        self.relocate(key, value.map(|_| loc));
+        Ok(())
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        let Some(active) = self.active.as_mut() else {
+            return Ok(()); // nothing can have been appended before load
+        };
+        active.flush()?;
+        if self.fsync {
+            let due = self.sync_window.is_zero()
+                || self
+                    .last_fsync
+                    .is_none_or(|at| at.elapsed() >= self.sync_window);
+            if due {
+                self.sync_device()?;
+            } else {
+                // Group commit: the bytes are flushed to the OS; the
+                // device sync rides with a later batch in this window.
+                self.pending_sync = true;
+                if let Some(s) = &mut self.stats {
+                    s.window_syncs += 1;
+                }
+            }
+        }
+        // A segment whose device sync was deferred stays active until that
+        // sync has run, so the sync always lands on the right file.
+        let active = *self.segments.back().expect("loaded");
+        if active.bytes >= Self::SEGMENT_BYTES && !self.pending_sync {
+            self.start_segment(active.id + 1)?;
+        }
+        if self.segments.len() > 1 && self.log_bytes > 2 * self.live_bytes + Self::SEGMENT_BYTES {
+            self.clean_oldest()?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for FileStorage {
+    /// Close the durability window on clean shutdown: sync any writes
+    /// whose device sync was deferred by group commit.
+    fn drop(&mut self) {
+        if let (true, Some(active)) = (self.pending_sync, self.active.as_mut()) {
+            if active.flush().is_ok() && active.get_ref().sync_data().is_ok() {
+                self.fsyncs += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// A fresh, empty directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rsmr-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Total bytes of the files in `dir`.
+    fn dir_bytes(dir: &Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .sum()
+    }
+
+    /// Bytes of `key`'s PUT record for a `len`-byte value.
+    fn put_len(key: &str, len: usize) -> u64 {
+        (13 + key.len() + len) as u64
+    }
+
+    /// Bytes every key of `store` needs in the log.
+    fn live_bytes(store: &StableStore) -> u64 {
+        store.entries().map(|(k, v)| put_len(k, v.len())).sum()
+    }
+
+    fn assert_same(got: &StableStore, want: &StableStore, what: &str) {
+        let got: Vec<_> = got.entries().collect();
+        let want: Vec<_> = want.entries().collect();
+        assert!(
+            got == want,
+            "{what}: {} keys recovered, {} expected",
+            got.len(),
+            want.len()
+        );
+    }
+
+    fn histogram(registry: &Registry, name: &str) -> crate::LogHistogram {
+        registry
+            .snapshot()
+            .histograms
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h)
+            .unwrap_or_else(|| panic!("missing histogram {name}"))
+    }
+
+    fn segment_file(dir: &Path, id: u64) -> PathBuf {
+        dir.join(format!("seg-{id:016x}"))
+    }
+
+    #[test]
+    fn file_storage_round_trips_and_deletes() {
+        let dir = scratch_dir("fs-test");
+        {
+            let mut fs = FileStorage::open(&dir, false).unwrap();
+            assert!(fs.load().unwrap().is_empty());
+            fs.apply("base", Some(b"hello")).unwrap();
+            fs.apply("px/0001", Some(&[1, 2, 3])).unwrap();
+            fs.apply("g0/weird key %!", Some(b"x")).unwrap();
+            fs.apply("px/0001", Some(&[9])).unwrap(); // overwrite wins
+            fs.sync().unwrap();
+        }
+        {
+            let mut fs = FileStorage::open(&dir, false).unwrap();
+            let loaded = fs.load().unwrap();
+            assert_eq!(loaded.get("base"), Some(&b"hello"[..]));
+            assert_eq!(loaded.get("px/0001"), Some(&[9u8][..]));
+            assert_eq!(loaded.get("g0/weird key %!"), Some(&b"x"[..]));
+            fs.apply("base", None).unwrap();
+            fs.apply("never-existed", None).unwrap();
+            fs.sync().unwrap();
+        }
+        let reloaded = FileStorage::open(&dir, false).unwrap().load().unwrap();
+        assert_eq!(reloaded.get("base"), None);
+        assert_eq!(reloaded.len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn apply_before_load_is_refused() {
+        let dir = scratch_dir("unloaded-test");
+        let mut fs = FileStorage::open(&dir, false).unwrap();
+        assert!(fs.apply("k", Some(b"v")).is_err());
+        fs.sync().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_commit_defers_device_syncs_within_the_window() {
+        let dir = scratch_dir("gc-test");
+        {
+            let mut fs = FileStorage::open(&dir, true)
+                .unwrap()
+                .with_sync_window(Duration::from_secs(3600));
+            fs.load().unwrap();
+            assert_eq!(fs.fsyncs(), 0);
+            fs.apply("a", Some(b"1")).unwrap();
+            fs.sync().unwrap();
+            assert_eq!(fs.fsyncs(), 1, "first sync of a window hits the device");
+            for i in 0..50u8 {
+                fs.apply("k", Some(&[i])).unwrap();
+                fs.sync().unwrap();
+            }
+            assert_eq!(fs.fsyncs(), 1, "later syncs in the window are deferred");
+            // Drop closes the window: the deferred bytes are synced.
+        }
+        let mut fs = FileStorage::open(&dir, true).unwrap();
+        let store = fs.load().unwrap();
+        assert_eq!(store.get("a"), Some(&b"1"[..]));
+        assert_eq!(store.get("k"), Some(&[49u8][..]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zero_window_syncs_every_batch() {
+        let dir = scratch_dir("gc0-test");
+        let mut fs = FileStorage::open(&dir, true).unwrap();
+        fs.load().unwrap();
+        for i in 0..3u8 {
+            fs.apply("k", Some(&[i])).unwrap();
+            fs.sync().unwrap();
+        }
+        assert_eq!(fs.fsyncs(), 3);
+        drop(fs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn never_overwritten_keys_are_never_cleaned() {
+        // Append-only data, such as a live epoch's acceptor log, is never
+        // rewritten: five segments of distinct 1 KiB keys cost exactly the
+        // bytes appended, with no clean at all.
+        let dir = scratch_dir("append-only-test");
+        let registry = Registry::new();
+        let mut fs = FileStorage::open(&dir, false)
+            .unwrap()
+            .with_telemetry(&registry);
+        fs.load().unwrap();
+        let value = vec![7u8; 1024];
+        let mut i = 0u64;
+        while fs.log_bytes < 5 * FileStorage::SEGMENT_BYTES {
+            for _ in 0..32 {
+                fs.apply(&format!("px/1/acc/{i:08}"), Some(&value)).unwrap();
+                i += 1;
+            }
+            fs.sync().unwrap();
+        }
+        assert!(fs.segments.len() >= 5, "{} segments", fs.segments.len());
+        assert_eq!(histogram(&registry, "storage.compaction_us").count(), 0);
+        let appended = histogram(&registry, "storage.wal_append_bytes").sum();
+        assert_eq!(dir_bytes(&dir), appended);
+        drop(fs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn seeded_mix_matches_a_model_across_reopens_within_the_space_bound() {
+        // Puts, overwrites, single deletes and epoch-style prefix deletes,
+        // reopened every round and compared with a model store. After
+        // every sync the directory stays within 2 × live + 2 segments.
+        let dir = scratch_dir("model-test");
+        let registry = Registry::new();
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x5E6_1065);
+        let mut model = StableStore::new();
+        let (mut oldest_epoch, mut epoch, mut slot) = (0u64, 0u64, 0u64);
+        for round in 0..6 {
+            let mut fs = FileStorage::open(&dir, false)
+                .unwrap()
+                .with_telemetry(&registry);
+            let loaded = fs.load().unwrap();
+            assert_same(&loaded, &model, &format!("reopen before round {round}"));
+            let mut appended = 0;
+            while appended < 6 << 20 {
+                for _ in 0..rng.gen_range(1..64u64) {
+                    let (key, value) = match rng.gen_range(0..10u32) {
+                        0..=4 => {
+                            let key = format!("hot/{}", rng.gen_range(0..512u32));
+                            let len = rng.gen_range(1..2048usize);
+                            (key, Some(vec![round as u8; len]))
+                        }
+                        5 | 6 => {
+                            slot += 1;
+                            (format!("px/{epoch}/acc/{slot:08}"), Some(vec![1u8; 1024]))
+                        }
+                        7 => (format!("hot/{}", rng.gen_range(0..512u32)), None),
+                        _ => {
+                            let key = format!("meta/{}", rng.gen_range(0..8u32));
+                            (key, Some(rng.next_u64().to_le_bytes().to_vec()))
+                        }
+                    };
+                    fs.apply(&key, value.as_deref()).unwrap();
+                    appended += put_len(&key, value.as_ref().map_or(0, Vec::len));
+                    match value {
+                        Some(v) => model.put(&key, v),
+                        None => {
+                            model.remove(&key);
+                        }
+                    }
+                }
+                if rng.gen_bool(0.05) {
+                    epoch += 1;
+                }
+                // Retire all but the two newest epochs, key by key, the
+                // way the runtime writes a prefix delete through.
+                while oldest_epoch + 1 < epoch {
+                    let prefix = format!("px/{oldest_epoch}/");
+                    let keys: Vec<String> =
+                        model.keys_with_prefix(&prefix).map(str::to_owned).collect();
+                    for key in keys {
+                        fs.apply(&key, None).unwrap();
+                        model.remove(&key);
+                    }
+                    oldest_epoch += 1;
+                }
+                fs.sync().unwrap();
+                let (disk, live) = (dir_bytes(&dir), live_bytes(&model));
+                assert!(
+                    disk <= 2 * live + 2 * FileStorage::SEGMENT_BYTES,
+                    "round {round}: {disk} bytes on disk for {live} live"
+                );
+                assert_eq!(fs.live_bytes, live, "round {round}: live accounting");
+            }
+        }
+        assert!(histogram(&registry, "storage.compaction_us").count() > 0);
+        let loaded = FileStorage::open(&dir, false).unwrap().load().unwrap();
+        assert_same(&loaded, &model, "final reopen");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn synced_keys_survive_a_crash_including_those_the_cleaner_moved() {
+        let dir = scratch_dir("durable-test");
+        let registry = Registry::new();
+        let mut model = StableStore::new();
+        {
+            let mut fs = FileStorage::open(&dir, true)
+                .unwrap()
+                .with_telemetry(&registry);
+            fs.load().unwrap();
+            // Long-lived keys first, in segment 0; then overwrites until
+            // the cleaner has moved them out of it.
+            for i in 0..100 {
+                let key = format!("keep/{i}");
+                fs.apply(&key, Some(&[i as u8; 1024])).unwrap();
+                model.put(&key, vec![i as u8; 1024]);
+            }
+            fs.sync().unwrap();
+            let mut n = 0u64;
+            while segment_file(&dir, 0).exists() {
+                for _ in 0..64 {
+                    let key = format!("hot/{}", n % 16);
+                    let value = n.to_le_bytes().repeat(128);
+                    fs.apply(&key, Some(&value)).unwrap();
+                    model.put(&key, value);
+                    n += 1;
+                }
+                fs.sync().unwrap();
+            }
+            // A hard crash right after the sync: Drop never runs.
+            std::mem::forget(fs);
+        }
+        assert!(histogram(&registry, "storage.compaction_us").count() >= 1);
+        let mut fs = FileStorage::open(&dir, true).unwrap();
+        let store = fs.load().unwrap();
+        assert_eq!(fs.corrupt_records(), 0);
+        assert_same(&store, &model, "after the crash");
+        drop(fs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_of_the_newest_segment_is_dropped_uncounted() {
+        let dir = scratch_dir("torn-test");
+        {
+            let mut fs = FileStorage::open(&dir, false).unwrap();
+            fs.load().unwrap();
+            fs.apply("a", Some(b"1")).unwrap();
+            fs.apply("b", Some(b"2")).unwrap();
+            fs.sync().unwrap();
+        }
+        // Simulate a crash mid-append: a valid prefix plus half a record.
+        let newest = segment_file(&dir, 0);
+        let valid = std::fs::metadata(&newest).unwrap().len();
+        {
+            let mut seg = File::options().append(true).open(&newest).unwrap();
+            let mut rec = Vec::new();
+            encode_record(&mut rec, "c", Some(b"3"));
+            rec.truncate(rec.len() - 1);
+            seg.write_all(&rec).unwrap();
+        }
+        let mut fs = FileStorage::open(&dir, false).unwrap();
+        let store = fs.load().unwrap();
+        assert_eq!(store.get("a"), Some(&b"1"[..]));
+        assert_eq!(store.get("b"), Some(&b"2"[..]));
+        assert_eq!(store.get("c"), None, "the torn record never happened");
+        assert_eq!(fs.corrupt_records(), 0, "a torn tail is a crash, not rot");
+        assert_eq!(std::fs::metadata(&newest).unwrap().len(), valid);
+        // Appends continue after the cut and replay cleanly.
+        fs.apply("d", Some(b"4")).unwrap();
+        fs.sync().unwrap();
+        drop(fs);
+        let mut fs = FileStorage::open(&dir, false).unwrap();
+        let store = fs.load().unwrap();
+        assert_eq!(store.get("d"), Some(&b"4"[..]));
+        assert_eq!((store.len(), fs.corrupt_records()), (3, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes three segments by hand: `a` in 0; `b` then `c` in 1; `d` in
+    /// 2, with `mangle` applied to segment 1's `c` record.
+    fn three_segments(dir: &Path, mangle: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        let mut seg0 = Vec::new();
+        encode_record(&mut seg0, "a", Some(b"alpha"));
+        let mut seg1 = Vec::new();
+        encode_record(&mut seg1, "b", Some(b"bravo"));
+        let intact = seg1.len() as u64;
+        let mut third = Vec::new();
+        encode_record(&mut third, "c", Some(b"charlie"));
+        mangle(&mut third);
+        seg1.extend_from_slice(&third);
+        let mut seg2 = Vec::new();
+        encode_record(&mut seg2, "d", Some(b"delta"));
+        for (id, bytes) in [seg0, seg1, seg2].iter().enumerate() {
+            std::fs::write(segment_file(dir, id as u64), bytes).unwrap();
+        }
+        intact
+    }
+
+    #[test]
+    fn bit_flips_in_a_middle_segment_truncate_it_and_later_segments_replay() {
+        // Seeded sweep over every byte/bit position of segment 1's second
+        // record: replay must recover everything else exactly, count at
+        // most one corrupt record, and never apply mangled bytes.
+        let dir = scratch_dir("flip-test");
+        let mut rng = crate::rng::SimRng::seed_from_u64(0xB17F11);
+        for _ in 0..64 {
+            let (mut byte, mut bit) = (0, 0);
+            let intact = three_segments(&dir, |rec| {
+                byte = rng.gen_range(0..rec.len());
+                bit = rng.gen_range(0..8u32);
+                rec[byte] ^= 1 << bit;
+            });
+            let mut fs = FileStorage::open(&dir, false).unwrap();
+            let store = fs.load().unwrap();
+            assert_eq!(store.get("a"), Some(&b"alpha"[..]), "flip {byte}:{bit}");
+            assert_eq!(store.get("b"), Some(&b"bravo"[..]), "flip {byte}:{bit}");
+            assert_eq!(store.get("d"), Some(&b"delta"[..]), "flip {byte}:{bit}");
+            // The flipped record either failed its CRC (counted) or — if
+            // the flip hit a length field — looked torn and was dropped.
+            // In no case does a record with a wrong value survive.
+            if let Some(v) = store.get("c") {
+                panic!("corrupt record applied as {v:?} (flip {byte}:{bit})");
+            }
+            assert!(fs.corrupt_records() <= 1);
+            let seg1 = std::fs::metadata(segment_file(&dir, 1)).unwrap().len();
+            assert_eq!(seg1, intact, "segment 1 is cut at the bad record");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_bit_rot_is_detected_and_counted() {
+        let dir = scratch_dir("rot-test");
+        let registry = Registry::new();
+        // Rot a bit inside the value of segment 1's second record.
+        three_segments(&dir, |rec| {
+            let n = rec.len();
+            rec[n - 6] ^= 0x10;
+        });
+        let mut fs = FileStorage::open(&dir, false)
+            .unwrap()
+            .with_telemetry(&registry);
+        let store = fs.load().unwrap();
+        assert_eq!(store.get("b"), Some(&b"bravo"[..]));
+        assert_eq!(store.get("c"), None, "rotted record must not survive");
+        assert_eq!(store.get("d"), Some(&b"delta"[..]), "later segments replay");
+        assert_eq!(fs.corrupt_records(), 1);
+        let corrupt = registry
+            .snapshot()
+            .counters
+            .into_iter()
+            .find(|(n, _)| n == "storage.wal_corrupt_records")
+            .map(|(_, v)| v);
+        assert_eq!(corrupt, Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replaying_a_half_finished_clean_is_idempotent() {
+        // Crash window in a clean: the live records are copied and
+        // durable, the old segment is not yet deleted. Replaying it before
+        // the copies converges to the same state (last write per key wins).
+        let dir = scratch_dir("half-clean-test");
+        let mut model = StableStore::new();
+        let mut fs = FileStorage::open(&dir, false).unwrap();
+        fs.load().unwrap();
+        for i in 0..64u32 {
+            let key = format!("keep/{i}");
+            fs.apply(&key, Some(&[i as u8; 512])).unwrap();
+            model.put(&key, vec![i as u8; 512]);
+        }
+        fs.apply("gone", Some(b"x")).unwrap();
+        fs.apply("gone", None).unwrap();
+        let mut n = 0u32;
+        while fs.segments.len() < 2 {
+            let value = n.to_le_bytes().repeat(256);
+            fs.apply("hot", Some(&value)).unwrap();
+            model.put("hot", value);
+            n += 1;
+            if n.is_multiple_of(64) {
+                fs.sync().unwrap();
+            }
+        }
+        let oldest = segment_file(&dir, 0);
+        let before = std::fs::read(&oldest).unwrap();
+        fs.clean_oldest().unwrap();
+        assert!(!oldest.exists());
+        drop(fs);
+        std::fs::write(&oldest, &before).unwrap();
+        for pass in 0..2 {
+            let mut fs = FileStorage::open(&dir, false).unwrap();
+            let store = fs.load().unwrap();
+            assert_same(&store, &model, &format!("replay {pass}"));
+            assert_eq!(fs.corrupt_records(), 0);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lying_fsync_loses_the_tail_but_never_consistency() {
+        let dir = scratch_dir("lie-test");
+        {
+            let inner = FileStorage::open(&dir, false).unwrap();
+            let mut fs = FaultyStorage::new(inner).lie_on_syncs(1);
+            fs.load().unwrap();
+            fs.apply("durable", Some(b"yes")).unwrap();
+            fs.sync().unwrap(); // honest? no — this one lies
+            assert_eq!(fs.lied(), 1);
+            fs.apply("after", Some(b"maybe")).unwrap();
+            fs.sync().unwrap(); // honest again: flushes everything buffered
+                                // Simulate a hard crash: leak the handle so Drop never flushes.
+            std::mem::forget(fs.into_inner());
+        }
+        let mut fs = FileStorage::open(&dir, false).unwrap();
+        let store = fs.load().unwrap();
+        // The second (honest) sync flushed the writer, so both records
+        // survive here; the guarantee under test is weaker and exact:
+        // whatever subset is on disk replays to a consistent prefix with
+        // zero corrupt records.
+        assert_eq!(fs.corrupt_records(), 0);
+        for key in ["durable", "after"] {
+            if let Some(v) = store.get(key) {
+                assert!(v == b"yes" || v == b"maybe", "mangled value for {key}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_storage_telemetry_records_appends_fsyncs_and_window_fill() {
+        let dir = scratch_dir("fstel-test");
+        let registry = Registry::new();
+        {
+            let mut fs = FileStorage::open(&dir, true)
+                .unwrap()
+                .with_sync_window(Duration::from_secs(3600))
+                .with_telemetry(&registry);
+            fs.load().unwrap();
+            fs.apply("a", Some(b"12345")).unwrap();
+            fs.sync().unwrap(); // window opens: device sync, fill = 1
+            for i in 0..3u8 {
+                fs.apply("k", Some(&[i])).unwrap();
+                fs.sync().unwrap(); // deferred within the window
+            }
+        }
+        assert_eq!(histogram(&registry, "storage.wal_append_bytes").count(), 4);
+        // One device sync happened (the window absorbed the rest).
+        assert_eq!(histogram(&registry, "storage.fsync_us").count(), 1);
+        let fill = histogram(&registry, "storage.group_commit_fill");
+        assert_eq!(fill.count(), 1);
+        assert_eq!(fill.max(), Some(1), "the first sync had nothing batched");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
