@@ -17,4 +17,4 @@ pub mod stw;
 
 pub use harness::{RaftWorld, StwWorld};
 pub use raft::{RaftAdmin, RaftClient, RaftNode, RaftTunables};
-pub use stw::{StwNode, StwTunables};
+pub use stw::StwNode;

@@ -9,14 +9,24 @@ use rsmr_core::state_machine::StateMachine;
 use simnet::wire;
 use simnet::{Actor, Context, DomainEvent, NodeId, RetryBackoff, SimDuration, SimTime, Timer};
 
-use super::core::{RaftCore, RaftEffects, RaftPropose, RaftTunables};
+use super::core::{RaftCore, RaftEffects, RaftPropose};
 use super::msg::{Index, RaftMsg};
 
 /// How often the replica pumps the core's timers.
 const TICK: SimDuration = SimDuration::from_millis(5);
-
+/// Compact the log once this many applied entries accumulate.
+const COMPACT_THRESHOLD: u64 = 1024;
 /// Namespace prefix for the core's hard-state keys in the stable store.
 const PERSIST_PREFIX: &str = "raft/";
+
+/// Batching knob of the Raft replica.
+#[derive(Clone, Debug, Default)]
+pub struct RaftTunables {
+    /// Leader-side command batching: accumulate up to this many client
+    /// commands and append them as one `Cmd::Batch` log entry (flushed
+    /// when the buffer fills or at the next tick). `0` disables batching.
+    pub cmd_batch: usize,
+}
 
 /// A Raft replica hosting a [`StateMachine`].
 pub struct RaftNode<S: StateMachine> {
@@ -26,13 +36,12 @@ pub struct RaftNode<S: StateMachine> {
     waiting: BTreeMap<(NodeId, u64), ()>,
     /// An admin's pending config change: `(admin, config entry index)`.
     pending_admin: Option<(NodeId, Index)>,
-    compact_threshold: u64,
     applied_count: u64,
     /// Configuration era: how many `Reconfigure` entries this replica has
     /// applied. Raft has no epochs; the era stands in for one in the typed
     /// event stream so cross-system span derivations line up.
     config_era: u64,
-    /// Leader-side command batching threshold (`tun.cmd_batch`).
+    /// Leader-side command batching threshold ([`RaftTunables::cmd_batch`]).
     cmd_batch: usize,
     /// Commands accumulated toward the next `Cmd::Batch` entry.
     batch_buf: Vec<(NodeId, u64, S::Op)>,
@@ -41,39 +50,13 @@ pub struct RaftNode<S: StateMachine> {
 impl<S: StateMachine + Default> RaftNode<S> {
     /// Creates a member of the initial cluster.
     pub fn new(me: NodeId, initial: StaticConfig, tun: RaftTunables) -> Self {
-        let compact_threshold = tun.compact_threshold;
-        let cmd_batch = tun.cmd_batch;
-        RaftNode {
-            core: RaftCore::new(me, initial, SimTime::ZERO, tun),
-            sm: S::default(),
-            sessions: SessionTable::new(),
-            waiting: BTreeMap::new(),
-            pending_admin: None,
-            compact_threshold,
-            applied_count: 0,
-            config_era: 0,
-            cmd_batch,
-            batch_buf: Vec::new(),
-        }
+        Self::with_core(RaftCore::new(me, initial, SimTime::ZERO), S::default(), tun)
     }
 
     /// Creates a blank joining node, brought up by the leader via snapshot
     /// and log replication after it is added to the configuration.
     pub fn joining(me: NodeId, tun: RaftTunables) -> Self {
-        let compact_threshold = tun.compact_threshold;
-        let cmd_batch = tun.cmd_batch;
-        RaftNode {
-            core: RaftCore::blank(me, tun),
-            sm: S::default(),
-            sessions: SessionTable::new(),
-            waiting: BTreeMap::new(),
-            pending_admin: None,
-            compact_threshold,
-            applied_count: 0,
-            config_era: 0,
-            cmd_batch,
-            batch_buf: Vec::new(),
-        }
+        Self::with_core(RaftCore::blank(me), S::default(), tun)
     }
 
     /// Rebuilds a replica from its stable store after a crash: hard state
@@ -82,8 +65,6 @@ impl<S: StateMachine + Default> RaftNode<S> {
     /// suffix above the snapshot re-applies as the new leader's commit
     /// index reaches this node.
     pub fn recover(me: NodeId, tun: RaftTunables, store: &simnet::StableStore) -> Self {
-        let compact_threshold = tun.compact_threshold;
-        let cmd_batch = tun.cmd_batch;
         let items: Vec<(String, Vec<u8>)> = store
             .keys_with_prefix(PERSIST_PREFIX)
             .map(|k| {
@@ -93,22 +74,11 @@ impl<S: StateMachine + Default> RaftNode<S> {
                 )
             })
             .collect();
-        let core = RaftCore::recover(me, SimTime::ZERO, tun, items);
+        let core = RaftCore::recover(me, SimTime::ZERO, items);
+        let mut node = Self::with_core(core, S::default(), tun);
         // Resume era labelling from the snapshot: `Reconfigure` entries
         // compacted into it are no longer in the log to be re-counted.
-        let config_era = core.snap_eras();
-        let mut node = RaftNode {
-            core,
-            sm: S::default(),
-            sessions: SessionTable::new(),
-            waiting: BTreeMap::new(),
-            pending_admin: None,
-            compact_threshold,
-            applied_count: 0,
-            config_era,
-            cmd_batch,
-            batch_buf: Vec::new(),
-        };
+        node.config_era = node.core.snap_eras();
         let payload = node.core.snapshot_data().to_vec();
         if !payload.is_empty() {
             node.restore_payload(&payload);
@@ -122,20 +92,22 @@ impl<S: StateMachine> RaftNode<S> {
     /// application state. The state is carried as a genesis snapshot so
     /// that later joiners receive it through `InstallSnapshot`.
     pub fn with_state(me: NodeId, initial: StaticConfig, tun: RaftTunables, sm: S) -> Self {
-        let compact_threshold = tun.compact_threshold;
-        let cmd_batch = tun.cmd_batch;
         let sessions: SessionTable<S::Output> = SessionTable::new();
-        let payload = wire::to_bytes(&(sm.snapshot(), sessions.clone()));
+        let payload = wire::to_bytes(&(sm.snapshot(), sessions));
+        let core = RaftCore::with_genesis_snapshot(me, initial, payload, SimTime::ZERO);
+        Self::with_core(core, sm, tun)
+    }
+
+    fn with_core(core: RaftCore<S::Op>, sm: S, tun: RaftTunables) -> Self {
         RaftNode {
-            core: RaftCore::with_genesis_snapshot(me, initial, payload, SimTime::ZERO, tun),
+            core,
             sm,
-            sessions,
+            sessions: SessionTable::new(),
             waiting: BTreeMap::new(),
             pending_admin: None,
-            compact_threshold,
             applied_count: 0,
             config_era: 0,
-            cmd_batch,
+            cmd_batch: tun.cmd_batch,
             batch_buf: Vec::new(),
         }
     }
@@ -234,7 +206,7 @@ impl<S: StateMachine> RaftNode<S> {
         // the log rather than with a full snapshot.
         const COMPACT_MARGIN: u64 = 64;
         let upto = self.core.delivered_index().saturating_sub(COMPACT_MARGIN);
-        if upto.saturating_sub(self.core.snapshot_index()) > self.compact_threshold {
+        if upto.saturating_sub(self.core.snapshot_index()) > COMPACT_THRESHOLD {
             let payload = self.snapshot_payload();
             let cfx = self.core.compact(upto, payload);
             for (key, value) in cfx.persist {

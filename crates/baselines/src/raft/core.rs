@@ -19,37 +19,14 @@ use simnet::{NodeId, SimDuration, SimTime};
 
 use super::msg::{Index, RaftRpc, Term};
 
-/// Timing and sizing knobs.
-#[derive(Clone, Debug)]
-pub struct RaftTunables {
-    /// Leader heartbeat interval.
-    pub heartbeat_interval: SimDuration,
-    /// Base election timeout.
-    pub election_timeout: SimDuration,
-    /// Maximum deterministic jitter added to the election timeout.
-    pub election_jitter: SimDuration,
-    /// Compact the log once this many applied entries accumulate.
-    pub compact_threshold: u64,
-    /// Maximum entries per `Append`.
-    pub batch: usize,
-    /// Leader-side command batching: accumulate up to this many client
-    /// commands and append them as one `Cmd::Batch` log entry (flushed
-    /// when the buffer fills or at the next tick). `0` disables batching.
-    pub cmd_batch: usize,
-}
-
-impl Default for RaftTunables {
-    fn default() -> Self {
-        RaftTunables {
-            heartbeat_interval: SimDuration::from_millis(20),
-            election_timeout: SimDuration::from_millis(150),
-            election_jitter: SimDuration::from_millis(150),
-            compact_threshold: 1024,
-            batch: 512,
-            cmd_batch: 0,
-        }
-    }
-}
+/// Leader heartbeat interval.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(20);
+/// Base election timeout.
+const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(150);
+/// Maximum deterministic jitter added to the election timeout.
+const ELECTION_JITTER: SimDuration = SimDuration::from_millis(150);
+/// Maximum entries per `Append`.
+const APPEND_BATCH: Index = 512;
 
 /// The node's current role.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -139,7 +116,6 @@ fn log_key(index: Index) -> String {
 /// One Raft replica's protocol state. `O` is the application operation.
 pub struct RaftCore<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> {
     me: NodeId,
-    tun: RaftTunables,
 
     term: Term,
     voted_for: Option<NodeId>,
@@ -182,8 +158,8 @@ pub struct RaftCore<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> {
 
 impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
     /// Creates a member of the initial cluster.
-    pub fn new(me: NodeId, initial: StaticConfig, now: SimTime, tun: RaftTunables) -> Self {
-        let mut c = Self::empty(me, tun);
+    pub fn new(me: NodeId, initial: StaticConfig, now: SimTime) -> Self {
+        let mut c = Self::empty(me);
         c.snap_members = initial.members().to_vec();
         c.cached_members = c.snap_members.clone();
         c.reset_election_deadline(now);
@@ -199,9 +175,8 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
         initial: StaticConfig,
         data: Vec<u8>,
         now: SimTime,
-        tun: RaftTunables,
     ) -> Self {
-        let mut c = Self::new(me, initial, now, tun);
+        let mut c = Self::new(me, initial, now);
         c.snap_index = 1;
         c.snap_term = 0;
         c.snap_data = data;
@@ -212,8 +187,8 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
 
     /// Creates a blank joining node: it has no configuration and will not
     /// campaign; it learns everything from the leader's RPCs.
-    pub fn blank(me: NodeId, tun: RaftTunables) -> Self {
-        Self::empty(me, tun)
+    pub fn blank(me: NodeId) -> Self {
+        Self::empty(me)
     }
 
     /// Rebuilds a replica from persisted hard state after a crash.
@@ -229,10 +204,9 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
     pub fn recover(
         me: NodeId,
         now: SimTime,
-        tun: RaftTunables,
         items: impl IntoIterator<Item = (String, Vec<u8>)>,
     ) -> Self {
-        let mut c = Self::empty(me, tun);
+        let mut c = Self::empty(me);
         let mut entries: BTreeMap<Index, (Term, Arc<Cmd<O>>)> = BTreeMap::new();
         for (key, value) in items {
             if key == KEY_HARD_STATE {
@@ -301,10 +275,9 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
         out
     }
 
-    fn empty(me: NodeId, tun: RaftTunables) -> Self {
+    fn empty(me: NodeId) -> Self {
         RaftCore {
             me,
-            tun,
             term: 0,
             voted_for: None,
             role: RaftRole::Follower,
@@ -454,11 +427,6 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
         self.term
     }
 
-    /// Commit index.
-    pub fn commit_index(&self) -> Index {
-        self.commit
-    }
-
     /// Entries applied (delivered) so far beyond the snapshot.
     pub fn log_len(&self) -> usize {
         self.log.len()
@@ -575,7 +543,7 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
         let mut fx = RaftEffects::new();
         match self.role {
             RaftRole::Leader => {
-                if now.since(self.last_heartbeat) >= self.tun.heartbeat_interval {
+                if now.since(self.last_heartbeat) >= HEARTBEAT_INTERVAL {
                     self.replicate_all(now, &mut fx);
                 }
             }
@@ -626,17 +594,13 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
     // --- Elections ----------------------------------------------------------
 
     fn election_timeout(&self) -> SimDuration {
-        let jitter_us = if self.tun.election_jitter.is_zero() {
-            0
-        } else {
-            mix64(
-                self.me
-                    .0
-                    .wrapping_mul(131)
-                    .wrapping_add(self.election_attempt),
-            ) % self.tun.election_jitter.as_micros()
-        };
-        self.tun.election_timeout + SimDuration::from_micros(jitter_us)
+        let jitter_us = mix64(
+            self.me
+                .0
+                .wrapping_mul(131)
+                .wrapping_add(self.election_attempt),
+        ) % ELECTION_JITTER.as_micros();
+        ELECTION_TIMEOUT + SimDuration::from_micros(jitter_us)
     }
 
     fn reset_election_deadline(&mut self, now: SimTime) {
@@ -800,7 +764,7 @@ impl<O: Clone + std::fmt::Debug + PartialEq + Wire + 'static> RaftCore<O> {
             return;
         };
         let from = next;
-        let to = self.last_index().min(from + self.tun.batch as Index - 1);
+        let to = self.last_index().min(from + APPEND_BATCH - 1);
         let entries: Vec<(Term, Arc<Cmd<O>>)> = (from..=to)
             .filter_map(|i| self.entry_at(i).cloned())
             .collect();
@@ -1100,12 +1064,7 @@ mod tests {
             let cfg = StaticConfig::new(members.clone());
             let cores: BTreeMap<NodeId, RaftCore<u64>> = members
                 .iter()
-                .map(|&m| {
-                    (
-                        m,
-                        RaftCore::new(m, cfg.clone(), SimTime::ZERO, RaftTunables::default()),
-                    )
-                })
+                .map(|&m| (m, RaftCore::new(m, cfg.clone(), SimTime::ZERO)))
                 .collect();
             let stores = cores
                 .iter()
@@ -1299,8 +1258,7 @@ mod tests {
         net.elect();
         // Add node 3.
         let joiner = NodeId(3);
-        net.cores
-            .insert(joiner, RaftCore::blank(joiner, RaftTunables::default()));
+        net.cores.insert(joiner, RaftCore::blank(joiner));
         let res = net.propose(Cmd::Reconfigure {
             members: vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
         });
@@ -1332,8 +1290,7 @@ mod tests {
             assert!(core.log_len() < 10);
         }
         let joiner = NodeId(3);
-        net.cores
-            .insert(joiner, RaftCore::blank(joiner, RaftTunables::default()));
+        net.cores.insert(joiner, RaftCore::blank(joiner));
         net.propose(Cmd::Reconfigure {
             members: vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
         });
@@ -1364,7 +1321,7 @@ mod tests {
             (c.term(), c.log_len() as u64 + c.snapshot_index())
         };
         let store = net.stores[&victim].clone();
-        let r = RaftCore::<u64>::recover(victim, net.now, RaftTunables::default(), store);
+        let r = RaftCore::<u64>::recover(victim, net.now, store);
         assert_eq!(r.term(), term);
         assert_eq!(r.role(), RaftRole::Follower);
         assert_eq!(r.log_len() as u64 + r.snapshot_index(), last);
@@ -1385,7 +1342,7 @@ mod tests {
     #[test]
     fn recovered_node_does_not_double_vote() {
         let cfg = StaticConfig::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
-        let mut a = RaftCore::<u64>::new(NodeId(0), cfg, SimTime::ZERO, RaftTunables::default());
+        let mut a = RaftCore::<u64>::new(NodeId(0), cfg, SimTime::ZERO);
         let mut store: BTreeMap<String, Vec<u8>> = a.bootstrap_persist().into_iter().collect();
         let vote = |fx: &RaftEffects<u64>| match fx.outbound.first() {
             Some((_, RaftRpc::VoteReply { granted, .. })) => Some(*granted),
@@ -1407,8 +1364,7 @@ mod tests {
         // Restart. The vote for candidate 1 in term 5 must survive: an
         // equally up-to-date rival in the same term is refused, while the
         // original candidate's retransmit is re-granted.
-        let mut b =
-            RaftCore::<u64>::recover(NodeId(0), SimTime::ZERO, RaftTunables::default(), store);
+        let mut b = RaftCore::<u64>::recover(NodeId(0), SimTime::ZERO, store);
         assert_eq!(b.term(), 5);
         let fx = b.on_message(
             NodeId(2),
@@ -1447,7 +1403,7 @@ mod tests {
             net.absorb(l, cfx);
         }
         let store = net.stores[&l].clone();
-        let r = RaftCore::<u64>::recover(l, net.now, RaftTunables::default(), store);
+        let r = RaftCore::<u64>::recover(l, net.now, store);
         assert!(r.snapshot_index() > 0);
         assert_eq!(r.snapshot_data(), &[7, 7]);
         assert_eq!(
@@ -1460,8 +1416,7 @@ mod tests {
     fn blank_nodes_never_campaign() {
         let mut net = Net::new(1);
         let blank = NodeId(9);
-        net.cores
-            .insert(blank, RaftCore::blank(blank, RaftTunables::default()));
+        net.cores.insert(blank, RaftCore::blank(blank));
         net.advance(SimDuration::from_secs(5));
         assert_eq!(net.cores[&blank].role(), RaftRole::Follower);
         assert_eq!(net.cores[&blank].term(), net.cores[&blank].term());

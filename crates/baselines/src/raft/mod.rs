@@ -9,6 +9,6 @@ mod actor;
 mod core;
 mod msg;
 
-pub use actor::{RaftAdmin, RaftClient, RaftNode};
-pub use core::{RaftCore, RaftEffects, RaftPropose, RaftRole, RaftTunables};
+pub use actor::{RaftAdmin, RaftClient, RaftNode, RaftTunables};
+pub use core::{RaftCore, RaftEffects, RaftPropose, RaftRole};
 pub use msg::{Index, RaftMsg, RaftRpc, Term};

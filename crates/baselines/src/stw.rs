@@ -33,29 +33,12 @@ use rsmr_core::state_machine::StateMachine;
 use rsmr_core::transfer::BaseState;
 use simnet::{Actor, Context, DomainEvent, NodeId, SimDuration, SimTime, Timer};
 
-/// Knobs of the stop-the-world baseline.
-#[derive(Clone, Debug)]
-pub struct StwTunables {
-    /// Building-block tunables.
-    pub paxos: PaxosTunables,
-    /// Timer pump interval.
-    pub tick: SimDuration,
-    /// Retry interval for unacked base-state pushes.
-    pub push_retry: SimDuration,
-    /// How long a replaced instance keeps serving catch-up.
-    pub retire_grace: SimDuration,
-}
-
-impl Default for StwTunables {
-    fn default() -> Self {
-        StwTunables {
-            paxos: PaxosTunables::default(),
-            tick: SimDuration::from_millis(5),
-            push_retry: SimDuration::from_millis(100),
-            retire_grace: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Timer pump interval.
+const TICK: SimDuration = SimDuration::from_millis(5);
+/// Retry interval for unacked base-state pushes.
+const PUSH_RETRY: SimDuration = SimDuration::from_millis(100);
+/// How long a replaced instance keeps serving catch-up.
+const RETIRE_GRACE: SimDuration = SimDuration::from_secs(2);
 
 struct Instance<O: Clone + std::fmt::Debug + PartialEq + simnet::wire::Wire + 'static> {
     paxos: MultiPaxos<Cmd<O>>,
@@ -76,7 +59,7 @@ struct Handoff {
 /// A replica of the stop-the-world reconfigurable machine.
 pub struct StwNode<S: StateMachine> {
     me: NodeId,
-    tun: StwTunables,
+    tun: PaxosTunables,
     chain: Option<ConfigChain>,
     instances: BTreeMap<Epoch, Instance<S::Op>>,
     /// The epoch this replica currently executes.
@@ -114,19 +97,19 @@ pub struct StwNode<S: StateMachine> {
 
 impl<S: StateMachine + Default> StwNode<S> {
     /// Creates a genesis member.
-    pub fn genesis(me: NodeId, initial: StaticConfig, tun: StwTunables) -> Self {
+    pub fn genesis(me: NodeId, initial: StaticConfig, tun: PaxosTunables) -> Self {
         Self::genesis_with(me, initial, tun, S::default())
     }
 
     /// Creates a joining member that waits for a pushed base state.
-    pub fn joining(me: NodeId, tun: StwTunables) -> Self {
+    pub fn joining(me: NodeId, tun: PaxosTunables) -> Self {
         Self::bare(me, tun, S::default())
     }
 }
 
 impl<S: StateMachine> StwNode<S> {
     /// Creates a genesis member with an explicit initial application state.
-    pub fn genesis_with(me: NodeId, initial: StaticConfig, tun: StwTunables, sm: S) -> Self {
+    pub fn genesis_with(me: NodeId, initial: StaticConfig, tun: PaxosTunables, sm: S) -> Self {
         assert!(initial.contains(me));
         let mut node = Self::bare(me, tun, sm);
         node.chain = Some(ConfigChain::genesis(initial.clone()));
@@ -134,14 +117,14 @@ impl<S: StateMachine> StwNode<S> {
         node.instances.insert(
             Epoch::ZERO,
             Instance {
-                paxos: MultiPaxos::new(me, initial, SimTime::ZERO, node.tun.paxos.clone()),
+                paxos: MultiPaxos::new(me, initial, SimTime::ZERO, node.tun.clone()),
                 retire_at: None,
             },
         );
         node
     }
 
-    fn bare(me: NodeId, tun: StwTunables, sm: S) -> Self {
+    fn bare(me: NodeId, tun: PaxosTunables, sm: S) -> Self {
         StwNode {
             me,
             tun,
@@ -418,11 +401,11 @@ impl<S: StateMachine> StwNode<S> {
             // The retransmit timeout must scale with the blob: a fixed
             // interval shorter than the blob's own wire time would queue
             // duplicate multi-megabyte copies behind the egress port long
-            // before the first copy can possibly be acked. One `push_retry`
+            // before the first copy can possibly be acked. One `PUSH_RETRY`
             // per 64 KiB models a pessimistic transport floor (~640 KB/s at
             // the 100 ms default) while keeping small-state retries prompt.
             let units = 1 + handoff.base.len() as u64 / (64 * 1024);
-            let timeout = SimDuration::from_micros(self.tun.push_retry.as_micros() * units);
+            let timeout = PUSH_RETRY * units;
             if ctx.now().since(handoff.last_push) >= timeout || handoff.last_push == SimTime::ZERO {
                 handoff.last_push = ctx.now();
                 for &m in handoff.awaiting.iter() {
@@ -480,17 +463,12 @@ impl<S: StateMachine> StwNode<S> {
         debug_assert_eq!(handoff.epoch, epoch);
         if let Some(old) = self.current.take() {
             if let Some(inst) = self.instances.get_mut(&old) {
-                inst.retire_at = Some(ctx.now() + self.tun.retire_grace);
+                inst.retire_at = Some(ctx.now() + RETIRE_GRACE);
             }
         }
         if handoff.cfg.contains(self.me) {
             self.instances.entry(epoch).or_insert_with(|| Instance {
-                paxos: MultiPaxos::new(
-                    self.me,
-                    handoff.cfg.clone(),
-                    ctx.now(),
-                    self.tun.paxos.clone(),
-                ),
+                paxos: MultiPaxos::new(self.me, handoff.cfg.clone(), ctx.now(), self.tun.clone()),
                 retire_at: None,
             });
             self.current = Some(epoch);
@@ -762,7 +740,7 @@ impl<S: StateMachine> Actor for StwNode<S> {
     type Msg = RsmrMsg<S::Op, S::Output>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        ctx.set_timer(self.tun.tick, 0);
+        ctx.set_timer(TICK, 0);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg) {
@@ -811,7 +789,7 @@ impl<S: StateMachine> Actor for StwNode<S> {
         }
         self.try_finish_drain(ctx);
         self.pump_handoff(ctx);
-        ctx.set_timer(self.tun.tick, 0);
+        ctx.set_timer(TICK, 0);
     }
 }
 
@@ -823,7 +801,7 @@ mod tests {
     #[test]
     fn genesis_node_serves_epoch_zero() {
         let cfg = StaticConfig::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
-        let node: StwNode<CounterSm> = StwNode::genesis(NodeId(0), cfg, StwTunables::default());
+        let node: StwNode<CounterSm> = StwNode::genesis(NodeId(0), cfg, PaxosTunables::default());
         assert_eq!(node.current_epoch(), Some(Epoch::ZERO));
         assert!(!node.is_blocked());
         assert_eq!(node.applied_count(), 0);
@@ -831,7 +809,7 @@ mod tests {
 
     #[test]
     fn joining_node_has_no_epoch() {
-        let node: StwNode<CounterSm> = StwNode::joining(NodeId(5), StwTunables::default());
+        let node: StwNode<CounterSm> = StwNode::joining(NodeId(5), PaxosTunables::default());
         assert_eq!(node.current_epoch(), None);
         assert!(!node.is_blocked());
     }

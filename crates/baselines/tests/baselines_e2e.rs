@@ -2,8 +2,8 @@
 //! `rsmr-core` reconfiguration suite so behaviour is comparable.
 
 use baselines::raft::{RaftAdmin, RaftClient, RaftMsg, RaftNode, RaftTunables};
-use baselines::stw::{StwNode, StwTunables};
-use consensus::StaticConfig;
+use baselines::stw::StwNode;
+use consensus::{PaxosTunables, StaticConfig};
 use rsmr_core::{AdminActor, CounterSm, Epoch, RsmrClient, RsmrMsg};
 use simnet::{Actor, Context, NetConfig, NodeId, Sim, SimDuration, SimTime, Timer};
 
@@ -53,7 +53,11 @@ fn stw_steady_state_serves_clients() {
     for &s in &servers {
         sim.add_node_with_id(
             s,
-            SNode::Server(StwNode::genesis(s, genesis.clone(), StwTunables::default())),
+            SNode::Server(StwNode::genesis(
+                s,
+                genesis.clone(),
+                PaxosTunables::default(),
+            )),
         );
     }
     let client = NodeId(100);
@@ -82,13 +86,17 @@ fn stw_add_member_blocks_then_recovers() {
     for &s in &servers {
         sim.add_node_with_id(
             s,
-            SNode::Server(StwNode::genesis(s, genesis.clone(), StwTunables::default())),
+            SNode::Server(StwNode::genesis(
+                s,
+                genesis.clone(),
+                PaxosTunables::default(),
+            )),
         );
     }
     let joiner = NodeId(3);
     sim.add_node_with_id(
         joiner,
-        SNode::Server(StwNode::joining(joiner, StwTunables::default())),
+        SNode::Server(StwNode::joining(joiner, PaxosTunables::default())),
     );
     let client = NodeId(100);
     sim.add_node_with_id(
@@ -144,13 +152,17 @@ fn stw_full_replacement() {
     for &s in &servers {
         sim.add_node_with_id(
             s,
-            SNode::Server(StwNode::genesis(s, genesis.clone(), StwTunables::default())),
+            SNode::Server(StwNode::genesis(
+                s,
+                genesis.clone(),
+                PaxosTunables::default(),
+            )),
         );
     }
     for id in [3u64, 4, 5] {
         sim.add_node_with_id(
             NodeId(id),
-            SNode::Server(StwNode::joining(NodeId(id), StwTunables::default())),
+            SNode::Server(StwNode::joining(NodeId(id), PaxosTunables::default())),
         );
     }
     let client = NodeId(100);

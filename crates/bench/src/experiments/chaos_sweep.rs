@@ -558,13 +558,6 @@ pub fn run_sweep(seeds: &[u64], coverage_budget: Option<usize>) -> SweepOutcome 
     }
 }
 
-/// Runs the uniform sweep and renders it, returning the failing seeds
-/// alongside (the `--seeds` override path: no coverage arm).
-pub fn run_structured_seeds(seeds: &[u64]) -> (ExpOutput, Vec<u64>) {
-    let outcome = run_sweep(seeds, None);
-    (outcome.output, outcome.failing_seeds)
-}
-
 /// Runs the sweep over the default seed set, coverage comparison included.
 pub fn run_structured(quick: bool) -> ExpOutput {
     let seeds = seed_range(if quick { 8 } else { 24 }, 1);

@@ -165,7 +165,7 @@ pub struct RejoinRow {
 /// whose full chunked snapshot is the denominator for the delta ratio.
 pub fn rejoin_row(quick: bool) -> RejoinRow {
     let keys = if quick { 50_000 } else { 200_000 };
-    // Down past `retire_grace`: by the time the member returns the
+    // Down past `RETIRE_GRACE`: by the time the member returns the
     // survivors have retired the old epoch, so local log replay cannot
     // reach the head and the member must take a transfer — a delta one,
     // since it recovers an anchored base.

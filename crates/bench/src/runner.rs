@@ -4,9 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use baselines::{
-    RaftAdmin, RaftClient, RaftNode, RaftTunables, RaftWorld, StwNode, StwTunables, StwWorld,
-};
+use baselines::{RaftAdmin, RaftClient, RaftNode, RaftTunables, RaftWorld, StwNode, StwWorld};
 use consensus::actor::{ReplicaActor, SmrClient, SmrMsg};
 use consensus::{PaxosTunables, StaticConfig};
 use kvstore::{HistoryOp, KeyDist, KvOp, KvOutput, KvStore, WorkloadGen};
@@ -539,17 +537,6 @@ impl RunOut {
             .unwrap_or(u64::MAX)
     }
 
-    /// Time from `at` until the first client completion after `at`, in
-    /// milliseconds — the service-recovery measure that stays meaningful
-    /// even when the workload ends before the horizon.
-    pub fn recovery_after_ms(&self, at: SimTime) -> Option<u64> {
-        let t = self.metrics.timeline("client.completes")?;
-        t.points()
-            .iter()
-            .find(|(when, _)| *when > at)
-            .map(|(when, _)| when.since(at).as_millis())
-    }
-
     /// Total protocol messages sent whose label starts with `prefix`.
     pub fn msgs_with_prefix(&self, prefix: &str) -> u64 {
         self.metrics
@@ -761,7 +748,6 @@ impl RsmrSystem {
     fn new(sc: &Scenario, fast_handoff: bool, batching: Option<(usize, u64, usize)>) -> Self {
         let mut tun = RsmrTunables {
             fast_handoff,
-            local_reads: sc.local_reads,
             ..RsmrTunables::default()
         };
         tun.paxos.lease_duration = sc.local_reads.then(|| SimDuration::from_millis(100));
@@ -813,12 +799,12 @@ impl System for RsmrSystem {
 /// replica always re-enters as a joiner and is re-seeded by the next
 /// epoch's snapshot broadcast.
 #[derive(Clone)]
-pub(crate) struct StwSystem(pub(crate) StwTunables);
+pub(crate) struct StwSystem(pub(crate) PaxosTunables);
 
 impl StwSystem {
     fn new(sc: &Scenario) -> Self {
-        let mut tun = StwTunables::default();
-        set_batching(&mut tun.paxos, sc.batching);
+        let mut tun = PaxosTunables::default();
+        set_batching(&mut tun, sc.batching);
         StwSystem(tun)
     }
 }

@@ -24,8 +24,7 @@
 //! group's leader and member set across reconfigurations, so routing hints
 //! come for free.
 
-use baselines::StwTunables;
-use consensus::StaticConfig;
+use consensus::{PaxosTunables, StaticConfig};
 use kvstore::{KeyDist, KvStore, WorkloadGen};
 use rsmr_core::{RsmrTunables, GROUP_COMPLETES_KEYS};
 use simnet::{
@@ -310,7 +309,7 @@ impl ShardRunOut {
 pub fn run_sharded(kind: ShardSystem, sc: &ShardScenario) -> ShardRunOut {
     match kind {
         ShardSystem::Rsmr => drive_sharded(RsmrSystem(RsmrTunables::default()), sc),
-        ShardSystem::Stw => drive_sharded(StwSystem(StwTunables::default()), sc),
+        ShardSystem::Stw => drive_sharded(StwSystem(PaxosTunables::default()), sc),
     }
 }
 

@@ -385,11 +385,6 @@ impl<C: Command> Actor for SmrClient<C> {
     }
 }
 
-/// Convenience: encode/decode helpers used by tests.
-pub fn persist_key(suffix: &str) -> String {
-    format!("{PERSIST_PREFIX}{suffix}")
-}
-
 /// Re-export used by recovery tests.
 pub use wire::to_bytes as encode_for_test;
 

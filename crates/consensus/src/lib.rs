@@ -28,5 +28,5 @@ mod types;
 pub use config::StaticConfig;
 pub use effects::{Effects, FlushCause, FlushStat};
 pub use msg::PaxosMsg;
-pub use multipaxos::{MultiPaxos, PaxosTunables, ProposeOutcome, Role};
+pub use multipaxos::{MultiPaxos, PaxosTunables, ProposeOutcome, Role, ELECTION_TIMEOUT};
 pub use types::{Ballot, Command, Slot};

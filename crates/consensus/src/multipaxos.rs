@@ -42,26 +42,27 @@ use crate::effects::Effects;
 use crate::msg::PaxosMsg;
 use crate::types::{Ballot, Command, Slot};
 
-/// Timing and batching knobs for the Multi-Paxos core.
+/// How often a leader sends heartbeats.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(20);
+/// Base follower election timeout: no leader contact for this long starts
+/// a campaign.
+pub const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(150);
+/// Maximum deterministic per-node jitter added to the election timeout.
+const ELECTION_JITTER: SimDuration = SimDuration::from_millis(150);
+/// How long a leader waits before re-sending un-acked `Accept`s.
+const ACCEPT_RETRY: SimDuration = SimDuration::from_millis(60);
+/// Maximum chosen entries per `CatchupReply`.
+const CATCHUP_BATCH: usize = 512;
+
+/// Read-lease and batching knobs for the Multi-Paxos core.
 #[derive(Clone, Debug)]
 pub struct PaxosTunables {
-    /// How often a leader sends heartbeats.
-    pub heartbeat_interval: SimDuration,
-    /// Base follower election timeout (no leader contact for this long
-    /// starts a campaign).
-    pub election_timeout: SimDuration,
-    /// Maximum deterministic per-node jitter added to the election timeout.
-    pub election_jitter: SimDuration,
-    /// How long a leader waits before re-sending un-acked `Accept`s.
-    pub accept_retry: SimDuration,
-    /// Maximum chosen entries per `CatchupReply`.
-    pub catchup_batch: usize,
     /// Read-lease duration, enabling leader-local linearizable reads. The
     /// lease is anchored at heartbeat send times acknowledged by a quorum.
-    /// **Safety requires** `lease_duration < election_timeout` (followers
-    /// reset their election deadline on every heartbeat, so a new leader
-    /// cannot emerge while any quorum-acked lease is live; the simulator's
-    /// virtual clock has zero skew). `None` disables leases.
+    /// Must be below [`ELECTION_TIMEOUT`] (followers reset their election
+    /// deadline on every heartbeat, so a new leader cannot emerge while any
+    /// quorum-acked lease is live; the simulator's virtual clock has zero
+    /// skew); [`MultiPaxos::new`] asserts it. `None` disables leases.
     pub lease_duration: Option<SimDuration>,
     /// Leader-side batch accumulator: combine up to this many commands
     /// into one [`Command::batch`] proposal. `<= 1` disables accumulation
@@ -82,11 +83,6 @@ pub struct PaxosTunables {
 impl Default for PaxosTunables {
     fn default() -> Self {
         PaxosTunables {
-            heartbeat_interval: SimDuration::from_millis(20),
-            election_timeout: SimDuration::from_millis(150),
-            election_jitter: SimDuration::from_millis(150),
-            accept_retry: SimDuration::from_millis(60),
-            catchup_batch: 512,
             lease_duration: None,
             max_batch: 1,
             max_delay: SimDuration::ZERO,
@@ -196,9 +192,14 @@ impl<C: Command> MultiPaxos<C> {
     ///
     /// # Panics
     ///
-    /// Panics if `me` is not a member of `cfg`.
+    /// Panics if `me` is not a member of `cfg`, or if `tun.lease_duration`
+    /// is not below [`ELECTION_TIMEOUT`].
     pub fn new(me: NodeId, cfg: StaticConfig, now: SimTime, tun: PaxosTunables) -> Self {
         assert!(cfg.contains(me), "{me} is not a member of {cfg}");
+        assert!(
+            tun.lease_duration.is_none_or(|l| l < ELECTION_TIMEOUT),
+            "lease_duration must be below the election timeout ({ELECTION_TIMEOUT})"
+        );
         let mut mp = MultiPaxos {
             me,
             cfg,
@@ -542,7 +543,7 @@ impl<C: Command> MultiPaxos<C> {
         }
         match self.role {
             Role::Leader => {
-                if now.since(self.last_heartbeat_sent) >= self.tun.heartbeat_interval {
+                if now.since(self.last_heartbeat_sent) >= HEARTBEAT_INTERVAL {
                     self.last_heartbeat_sent = now;
                     for peer in self.cfg.peers(self.me) {
                         fx.outbound.push((
@@ -594,19 +595,13 @@ impl<C: Command> MultiPaxos<C> {
             .iter()
             .position(|&n| n == self.me)
             .unwrap_or(0) as u64;
-        let jitter_us = if self.tun.election_jitter.is_zero() {
-            0
-        } else {
-            mix64(
-                self.me
-                    .0
-                    .wrapping_mul(31)
-                    .wrapping_add(self.election_attempt),
-            ) % self.tun.election_jitter.as_micros()
-        };
-        self.tun.election_timeout
-            + SimDuration::from_micros(jitter_us)
-            + SimDuration::from_millis(5) * idx
+        let jitter_us = mix64(
+            self.me
+                .0
+                .wrapping_mul(31)
+                .wrapping_add(self.election_attempt),
+        ) % ELECTION_JITTER.as_micros();
+        ELECTION_TIMEOUT + SimDuration::from_micros(jitter_us) + SimDuration::from_millis(5) * idx
     }
 
     fn reset_election_deadline(&mut self, now: SimTime) {
@@ -651,12 +646,12 @@ impl<C: Command> MultiPaxos<C> {
     /// candidates surviving a real leader crash would reject each other
     /// forever).
     fn leader_is_live(&self, now: SimTime) -> bool {
-        let window = self.tun.election_timeout;
         match self.role {
-            Role::Leader => self.hb_acked.values().any(|&t| now < t + window),
+            Role::Leader => self.hb_acked.values().any(|&t| now < t + ELECTION_TIMEOUT),
             Role::Candidate => false,
             Role::Follower => {
-                self.last_leader_heard > SimTime::ZERO && now < self.last_leader_heard + window
+                self.last_leader_heard > SimTime::ZERO
+                    && now < self.last_leader_heard + ELECTION_TIMEOUT
             }
         }
     }
@@ -1002,7 +997,7 @@ impl<C: Command> MultiPaxos<C> {
         let entries: Vec<(Slot, Arc<C>)> = self
             .chosen
             .range(from_slot..)
-            .take(self.tun.catchup_batch)
+            .take(CATCHUP_BATCH)
             .map(|(&s, c)| (s, c.clone()))
             .collect();
         fx.outbound.push((
@@ -1038,11 +1033,10 @@ impl<C: Command> MultiPaxos<C> {
     }
 
     fn retry_stale_proposals(&mut self, now: SimTime, fx: &mut Effects<C>) {
-        let retry = self.tun.accept_retry;
         let ballot = self.ballot;
         let peers = self.cfg.peers(self.me);
         for (&slot, p) in self.proposals.iter_mut() {
-            if now.since(p.last_sent) < retry {
+            if now.since(p.last_sent) < ACCEPT_RETRY {
                 continue;
             }
             p.last_sent = now;
@@ -1082,6 +1076,17 @@ impl<C: Command> MultiPaxos<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "lease_duration must be below the election timeout")]
+    fn a_lease_as_long_as_the_election_timeout_is_refused() {
+        let tun = PaxosTunables {
+            lease_duration: Some(ELECTION_TIMEOUT),
+            ..PaxosTunables::default()
+        };
+        let cfg = StaticConfig::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let _ = MultiPaxos::<u64>::new(NodeId(0), cfg, SimTime::ZERO, tun);
+    }
 
     /// A zero-latency, lossless in-memory harness that shuttles messages
     /// between cores — pure protocol-logic testing without the simulator.

@@ -57,7 +57,7 @@ pub use chain::{ConfigChain, Epoch};
 pub use client::{AdminActor, HistoryEntry, OpenLoopClient, RsmrClient, GROUP_COMPLETES_KEYS};
 pub use command::{BatchEntry, Cmd};
 pub use messages::RsmrMsg;
-pub use node::{RsmrNode, RsmrTunables, ROLL_AFTER_SLOTS};
+pub use node::{RsmrNode, RsmrTunables, RETIRE_GRACE, ROLL_AFTER_SLOTS};
 pub use observe::InvariantObserver;
 pub use session::SessionTable;
 pub use state_machine::{CounterSm, StateMachine};

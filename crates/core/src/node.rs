@@ -16,7 +16,7 @@
 //! pump once the anchor reaches them. The pump is also where the close
 //! rule lives: the first `Reconfigure` applied in slot order closes the
 //! epoch, everything buffered after it is discarded (with discarded client
-//! commands optionally re-proposed into the successor), and the anchor
+//! commands re-proposed into the successor), and the anchor
 //! moves to the successor's slot 0.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -36,38 +36,33 @@ use crate::transfer::{
     TransferPlan, CHUNK_TARGET,
 };
 
+/// How often the node pumps instance timers.
+const TICK: SimDuration = SimDuration::from_millis(5);
+/// Retry interval for state-transfer requests.
+const TRANSFER_RETRY: SimDuration = SimDuration::from_millis(100);
+/// How long a closed epoch's instance keeps serving catch-up before it is
+/// halted and dropped.
+pub const RETIRE_GRACE: SimDuration = SimDuration::from_secs(2);
+/// In-epoch incremental compaction: how many snapshot pages the rolling
+/// cursor refreshes per tick. Pages whose [`StateMachine::page_version`]
+/// still matches the cached encode are skipped, so a full pass over a
+/// quiescent state costs nothing; at epoch seal only pages dirtied since
+/// the cursor last passed them need re-encoding. Irrelevant for
+/// single-page state machines.
+const COMPACT_PAGES_PER_TICK: usize = 8;
+
 /// Behaviour knobs of the composed replica.
 #[derive(Clone, Debug)]
 pub struct RsmrTunables {
-    /// Tunables for every embedded building-block instance.
+    /// Tunables for every embedded building-block instance. Setting
+    /// `paxos.lease_duration` also serves pure reads (operations with a
+    /// [`StateMachine::query`] answer) locally at the leader under the
+    /// read lease, skipping the log.
     pub paxos: PaxosTunables,
     /// Speculative handoff: the closing epoch's leader campaigns in the
     /// successor instance immediately, skipping the election timeout. This
     /// is the headline optimization; experiment E2/E5 toggles it.
     pub fast_handoff: bool,
-    /// Re-propose client commands discarded from a closed epoch's tail into
-    /// the successor (instead of waiting for client retransmission).
-    pub repropose_discarded: bool,
-    /// How often the node pumps instance timers.
-    pub tick: SimDuration,
-    /// Retry interval for state-transfer requests.
-    pub transfer_retry: SimDuration,
-    /// How long a closed epoch's instance keeps serving catch-up before it
-    /// is halted and dropped.
-    pub retire_grace: SimDuration,
-    /// Serve pure reads (operations with a [`StateMachine::query`] answer)
-    /// locally at the leader under a read lease, skipping the log.
-    /// Requires `paxos.lease_duration` to be set; linearizable given the
-    /// lease-safety constraint documented there.
-    pub local_reads: bool,
-    /// In-epoch incremental compaction: how many snapshot pages the
-    /// rolling cursor refreshes per tick. Pages whose
-    /// [`StateMachine::page_version`] still matches the cached encode are
-    /// skipped, so a full pass over a quiescent state costs nothing; at
-    /// epoch seal only pages dirtied since the cursor last passed them
-    /// need re-encoding. `0` disables the cursor (seal encodes
-    /// everything). Irrelevant for single-page state machines.
-    pub compact_pages_per_tick: usize,
 }
 
 impl Default for RsmrTunables {
@@ -75,12 +70,6 @@ impl Default for RsmrTunables {
         RsmrTunables {
             paxos: PaxosTunables::default(),
             fast_handoff: true,
-            repropose_discarded: true,
-            tick: SimDuration::from_millis(5),
-            transfer_retry: SimDuration::from_millis(100),
-            retire_grace: SimDuration::from_secs(2),
-            local_reads: false,
-            compact_pages_per_tick: 8,
         }
     }
 }
@@ -171,7 +160,7 @@ fn page_key(i: usize) -> String {
 /// closes the epoch with a `Reconfigure` to the *current* members, and the
 /// retired instance takes its log and its `px/` keys with it. Bounds what
 /// a replica holds per group to this many slots plus
-/// [`RsmrTunables::retire_grace`] worth of commits.
+/// [`RETIRE_GRACE`] worth of commits.
 pub const ROLL_AFTER_SLOTS: u64 = 16_384;
 
 /// Persisted acceptor keys of dropped epochs deleted per tick. Deleting a
@@ -530,7 +519,8 @@ impl<S: StateMachine> RsmrNode<S> {
     fn read_persisted_base(store: &StableStore) -> Option<BaseState<S::Output>> {
         if let Some(meta) = store.get(KEY_BASE_META) {
             let (epoch, count, header) = wire::from_bytes::<(Epoch, u64, Vec<u8>)>(meta)?;
-            let mut pages = Vec::with_capacity(count as usize);
+            // Not pre-sized: `count` comes from disk and may be corrupt.
+            let mut pages = Vec::new();
             for i in 0..count as usize {
                 pages.push(Arc::new(store.get(&page_key(i))?.to_vec()));
             }
@@ -881,9 +871,8 @@ impl<S: StateMachine> RsmrNode<S> {
         // as log rolls close epoch after epoch.
         let kept: Vec<Epoch> = self.bases.keys().copied().collect();
         let now = ctx.now();
-        let grace = self.tun.retire_grace;
         self.serve_plans
-            .retain(|&(e, _), (_, served)| kept.contains(&e) || now.since(*served) < grace);
+            .retain(|&(e, _), (_, served)| kept.contains(&e) || now.since(*served) < RETIRE_GRACE);
 
         // Collect the discarded tail (entries the block committed past the
         // close point) for optional re-proposal. The intra-batch tail of
@@ -921,7 +910,7 @@ impl<S: StateMachine> RsmrNode<S> {
             .clone();
 
         // Retire the closed instance after a catch-up grace period.
-        let retire_at = ctx.now() + self.tun.retire_grace;
+        let retire_at = ctx.now() + RETIRE_GRACE;
         if let Some(inst) = self.instances.get_mut(&epoch) {
             inst.retire_at = Some(inst.retire_at.unwrap_or(retire_at).min(retire_at));
         }
@@ -941,11 +930,9 @@ impl<S: StateMachine> RsmrNode<S> {
             }
             // Re-propose discarded tail commands and flush parked handoff
             // requests into the successor.
-            if self.tun.repropose_discarded {
-                for (client, seq, op) in discarded {
-                    if self.waiting.contains_key(&(client, seq)) {
-                        self.submit_to_instance(ctx, successor, client, seq, op);
-                    }
+            for (client, seq, op) in discarded {
+                if self.waiting.contains_key(&(client, seq)) {
+                    self.submit_to_instance(ctx, successor, client, seq, op);
                 }
             }
             let parked: Vec<(NodeId, u64, S::Op)> = self.handoff.drain(..).collect();
@@ -1152,7 +1139,7 @@ impl<S: StateMachine> RsmrNode<S> {
         // Lease-based local read: the leader of the active epoch answers
         // pure reads from its applied state while it holds a quorum lease
         // and is fully anchored (nothing committed-but-unapplied).
-        if self.tun.local_reads && self.anchor.map(|a| a.epoch) == Some(active) {
+        if self.tun.paxos.lease_duration.is_some() && self.anchor.map(|a| a.epoch) == Some(active) {
             if let Some(output) = self.sm.query(&op) {
                 let leased = self
                     .instances
@@ -1363,7 +1350,7 @@ impl<S: StateMachine> RsmrNode<S> {
             // catches the case where it cannot. Restarting would throw
             // the progress away, and a transfer that outlasts a few log
             // rolls would never finish.
-            if pt.streaming(ctx.now(), self.tun.retire_grace) {
+            if pt.streaming(ctx.now(), RETIRE_GRACE) {
                 return;
             }
         }
@@ -1865,11 +1852,11 @@ impl<S: StateMachine> RsmrNode<S> {
         // few page encodes per tick, so the epoch seal re-encodes only the
         // pages dirtied since the cursor last passed them (a bounded tail
         // instead of the full state).
-        if self.anchor.is_some() && self.tun.compact_pages_per_tick > 0 {
+        if self.anchor.is_some() {
             let n = self.sm.snapshot_pages();
             if n > 1 {
                 let mut refreshed = 0u64;
-                for _ in 0..self.tun.compact_pages_per_tick.min(n) {
+                for _ in 0..COMPACT_PAGES_PER_TICK.min(n) {
                     let i = self.compact_cursor % n;
                     self.compact_cursor = (self.compact_cursor + 1) % n;
                     let version = self.sm.page_version(i);
@@ -1914,12 +1901,12 @@ impl<S: StateMachine> RsmrNode<S> {
             .stash_since
             .iter()
             .filter(|&(&e, &since)| {
-                now.since(since) >= self.tun.transfer_retry * 2
+                now.since(since) >= TRANSFER_RETRY * 2
                     && reachable.map(|r| e > r).unwrap_or(true)
                     && self
                         .pending_transfer
                         .as_ref()
-                        .map(|pt| pt.epoch < e && !pt.streaming(now, self.tun.retire_grace))
+                        .map(|pt| pt.epoch < e && !pt.streaming(now, RETIRE_GRACE))
                         .unwrap_or(true)
             })
             .map(|(&e, _)| e)
@@ -1955,7 +1942,7 @@ impl<S: StateMachine> RsmrNode<S> {
                 .filter(|&(&e, _)| e > anchor.epoch)
                 .map(|(&e, inst)| (e, inst.paxos.config().peers(self.me)));
             if let Some((epoch, peers)) = newest {
-                if now.since(since) >= self.tun.retire_grace * 2
+                if now.since(since) >= RETIRE_GRACE * 2
                     && self.pending_transfer.is_none()
                     && !peers.is_empty()
                 {
@@ -1973,7 +1960,7 @@ impl<S: StateMachine> RsmrNode<S> {
         // manifest is re-requested and — the manifest being deterministic —
         // the new donor resumes with only the missing chunks.
         let stalled = self.pending_transfer.as_ref().and_then(|pt| {
-            let delay = self.tun.transfer_retry * (1u64 << pt.attempts.min(3));
+            let delay = TRANSFER_RETRY * (1u64 << pt.attempts.min(3));
             (now.since(pt.last_request) >= delay)
                 .then(|| (pt.epoch, pt.provider, pt.candidates.clone(), pt.since))
         });
@@ -1997,7 +1984,7 @@ impl<S: StateMachine> RsmrNode<S> {
                 .get(&closing.epoch)
                 .map(|i| i.paxos.is_leader())
                 .unwrap_or(false);
-            let timed_out = now.since(closing.proposed_at) >= self.tun.paxos.election_timeout * 4;
+            let timed_out = now.since(closing.proposed_at) >= consensus::ELECTION_TIMEOUT * 4;
             if !still_leading || timed_out {
                 self.closing = None;
                 let members = self.current_members();
@@ -2157,7 +2144,7 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
             }
             self.drop_epochs_below(anchor.epoch);
         }
-        ctx.set_timer(self.tun.tick, 0);
+        ctx.set_timer(TICK, 0);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg) {
@@ -2251,7 +2238,7 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, _timer: Timer) {
         self.tick_everything(ctx);
-        ctx.set_timer(self.tun.tick, 0);
+        ctx.set_timer(TICK, 0);
     }
 }
 

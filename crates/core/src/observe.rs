@@ -102,11 +102,6 @@ impl InvariantObserver {
         &self.violations
     }
 
-    /// True when no invariant has been violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// Panics listing every violation unless the stream was clean.
     pub fn assert_clean(&self) {
         assert!(

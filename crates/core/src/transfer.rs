@@ -21,7 +21,7 @@ use crate::session::SessionTable;
 
 /// Target chunk payload size. Large enough to amortize per-message
 /// overhead, small enough that a chunk never monopolizes the egress cap
-/// (and sits far below the TCP backend's `max_frame`).
+/// (and sits far below the TCP backend's 64 MiB frame bound).
 pub const CHUNK_TARGET: usize = 64 * 1024;
 
 /// Everything a replica needs to start executing epoch `epoch` from its

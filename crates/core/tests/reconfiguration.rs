@@ -427,10 +427,7 @@ fn old_instances_are_retired_and_storage_reclaimed() {
 fn local_reads_skip_the_log_and_survive_reconfiguration() {
     // Counter op 0 is a pure read (query-able). With leases on, reads are
     // served locally; across a reconfiguration the counts stay exact.
-    let mut tun = RsmrTunables {
-        local_reads: true,
-        ..RsmrTunables::default()
-    };
+    let mut tun = RsmrTunables::default();
     tun.paxos.lease_duration = Some(SimDuration::from_millis(100));
 
     let mut sim: Sim<Node> = Sim::new(15, NetConfig::lan());

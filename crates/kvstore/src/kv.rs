@@ -523,6 +523,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn recovery_rejects_a_corrupt_page_count() {
+        // `base/meta` claims u64::MAX pages: recovery must fail, not
+        // size a buffer from the count.
+        let mut store = simnet::StableStore::new();
+        let meta = (rsmr_core::Epoch::ZERO, u64::MAX, Vec::<u8>::new());
+        store.put("base/meta", wire::to_bytes(&meta));
+        let node = rsmr_core::RsmrNode::<KvStore>::recover(
+            simnet::NodeId(0),
+            rsmr_core::RsmrTunables::default(),
+            &store,
+        );
+        assert!(node.is_none());
+    }
+
+    #[test]
     fn put_get_delete_cycle() {
         let mut kv = KvStore::new();
         assert_eq!(kv.apply(&KvOp::Get("a".into())), KvOutput::Value(None));

@@ -87,10 +87,7 @@ fn run_world(
     } else {
         NetConfig::lan()
     };
-    let mut tun = RsmrTunables {
-        local_reads: faults.local_reads,
-        ..RsmrTunables::default()
-    };
+    let mut tun = RsmrTunables::default();
     if faults.local_reads {
         tun.paxos.lease_duration = Some(simnet::SimDuration::from_millis(100));
     }

@@ -13,7 +13,8 @@ use consensus::StaticConfig;
 use kvstore::{linearizable, HistoryOp, KvOp, KvOutput, KvStore};
 use rsmr_core::harness::World;
 use rsmr_core::{
-    AdminActor, Epoch, InvariantObserver, RsmrClient, RsmrNode, RsmrTunables, ROLL_AFTER_SLOTS,
+    AdminActor, Epoch, InvariantObserver, RsmrClient, RsmrNode, RsmrTunables, RETIRE_GRACE,
+    ROLL_AFTER_SLOTS,
 };
 use simnet::observe::{shared, DomainEvent, Observer, SimEvent};
 use simnet::{NetConfig, NodeId, Sim, SimDuration, SimTime};
@@ -168,7 +169,7 @@ impl RollWorld {
             self.sim.run_for(SimDuration::from_millis(100));
         }
         assert!(self.all_completed(), "every client finished its script");
-        self.sim.run_for(RsmrTunables::default().retire_grace * 2);
+        self.sim.run_for(RETIRE_GRACE * 2);
     }
 
     /// Linearizability is local: the history is linearizable iff each
@@ -306,7 +307,7 @@ fn a_join_that_outlasts_log_rolls_finishes_its_transfer() {
     w.run_to_completion(SimDuration::from_secs(60));
     // The joiner anchors after the clients finish: let its own retire
     // grace and key reclaim run out too.
-    w.sim.run_for(RsmrTunables::default().retire_grace * 2);
+    w.sim.run_for(RETIRE_GRACE * 2);
     w.assert_linearizable();
     let epoch = w.assert_rolled_and_reclaimed();
 
@@ -359,7 +360,7 @@ fn a_joiner_cut_off_from_its_epochs_log_pulls_the_newest_base() {
     );
     // The newest epoch's commits still come from the leader alone.
     w.sim.unblock_link(leader, JOINER);
-    w.sim.run_for(RsmrTunables::default().retire_grace * 2);
+    w.sim.run_for(RETIRE_GRACE * 2);
 
     w.assert_linearizable();
     w.assert_rolled_and_reclaimed();

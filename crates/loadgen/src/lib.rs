@@ -293,7 +293,6 @@ fn runtime(
         StableStore::new(),
         RuntimeConfig {
             seed: seed ^ node.0,
-            ..RuntimeConfig::default()
         },
     ))
 }

@@ -44,10 +44,6 @@ pub struct ServerConfig {
     pub storage_dir: Option<PathBuf>,
     /// Fsync files and directory on every write batch.
     pub fsync: bool,
-    /// WAL group commit: issue at most one fsync per this many
-    /// milliseconds (`0` = fsync every batch). Widens the power-loss
-    /// durability window to this long; see OPERATIONS.md.
-    pub fsync_window_ms: u64,
     /// Leader-side batching: commands per consensus proposal (`1` = one
     /// command per slot, batching off).
     pub max_batch: u64,
@@ -91,7 +87,6 @@ impl Default for ServerConfig {
             groups: 1,
             storage_dir: None,
             fsync: true,
-            fsync_window_ms: 0,
             max_batch: 1,
             max_delay_ms: 0,
             window: 0,
@@ -129,8 +124,8 @@ impl ServerConfig {
     /// `--node N`, `--listen ADDR`, `--peer ID@ADDR` (repeatable, resets
     /// the file's list on first use), `--initial-members 0,1,2`,
     /// `--groups N`, `--storage-dir DIR`, `--fsync`/`--no-fsync`,
-    /// `--fsync-window-ms N`, `--max-batch N`, `--max-delay-ms N`,
-    /// `--window N`, `--seed N`, `--run-for-secs N`, `--events-out FILE`,
+    /// `--max-batch N`, `--max-delay-ms N`, `--window N`, `--seed N`,
+    /// `--run-for-secs N`, `--events-out FILE`,
     /// `--metrics-listen ADDR`, `--stats-interval-secs N`,
     /// `--corrupt-frame N` (repeatable; injects link corruption into the
     /// n-th outgoing frame, for integrity smoke tests).
@@ -177,7 +172,6 @@ impl ServerConfig {
                 "--storage-dir" => cfg.storage_dir = Some(PathBuf::from(next("--storage-dir")?)),
                 "--fsync" => cfg.fsync = true,
                 "--no-fsync" => cfg.fsync = false,
-                "--fsync-window-ms" => cfg.fsync_window_ms = parse_u64(next("--fsync-window-ms")?)?,
                 "--max-batch" => cfg.max_batch = parse_u64(next("--max-batch")?)?,
                 "--max-delay-ms" => cfg.max_delay_ms = parse_u64(next("--max-delay-ms")?)?,
                 "--window" => cfg.window = parse_u64(next("--window")?)?,
@@ -214,7 +208,6 @@ impl ServerConfig {
             "groups" => self.groups = parse_u64(value)? as u32,
             "storage_dir" => self.storage_dir = Some(PathBuf::from(parse_string(value)?)),
             "fsync" => self.fsync = parse_bool(value)?,
-            "fsync_window_ms" => self.fsync_window_ms = parse_u64(value)?,
             "max_batch" => self.max_batch = parse_u64(value)?,
             "max_delay_ms" => self.max_delay_ms = parse_u64(value)?,
             "window" => self.window = parse_u64(value)?,

@@ -118,11 +118,7 @@ pub fn serve(cfg: &ServerConfig, stop: &AtomicBool) -> io::Result<ServerSummary>
     let registry = Registry::new();
 
     let mut backend: Box<dyn StorageBackend> = match &cfg.storage_dir {
-        Some(dir) => Box::new(
-            FileStorage::open(dir, cfg.fsync)?
-                .with_sync_window(Duration::from_millis(cfg.fsync_window_ms))
-                .with_telemetry(&registry),
-        ),
+        Some(dir) => Box::new(FileStorage::open(dir, cfg.fsync)?.with_telemetry(&registry)),
         None => Box::new(MemStorage),
     };
     let store = backend.load()?;
@@ -147,10 +143,7 @@ pub fn serve(cfg: &ServerConfig, stop: &AtomicBool) -> io::Result<ServerSummary>
         transport,
         backend,
         store,
-        RuntimeConfig {
-            seed: cfg.seed,
-            ..RuntimeConfig::default()
-        },
+        RuntimeConfig { seed: cfg.seed },
     );
     let spans = shared(Spans::new());
     rt.add_observer(spans.clone());

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use kvstore::kv::PAGES;
 use loadgen::{run_fleet, LoadgenConfig};
-use rsmr_core::{RsmrTunables, ROLL_AFTER_SLOTS};
+use rsmr_core::{RETIRE_GRACE, ROLL_AFTER_SLOTS};
 use rsmr_server::{serve, ServerConfig, ServerSummary};
 
 fn free_ports(n: usize) -> Vec<u16> {
@@ -50,7 +50,7 @@ fn store_size_plateaus_across_log_rolls() {
 
     // One full epoch, plus what commits while the previous one serves
     // catch-up, plus the base pages and a few bookkeeping keys.
-    let grace = Duration::from_micros(RsmrTunables::default().retire_grace.as_micros());
+    let grace = Duration::from_micros(RETIRE_GRACE.as_micros());
     let bound = |rate: f64| {
         ROLL_AFTER_SLOTS as usize + (grace.as_secs_f64() * rate * 1.5) as usize + PAGES + 64
     };

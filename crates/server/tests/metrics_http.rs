@@ -128,7 +128,6 @@ fn metrics_and_status_track_a_live_reconfiguration() {
         groups: 1,
         storage_dir: Some(dir.join(format!("n{node}"))),
         fsync: false,
-        fsync_window_ms: 0,
         max_batch: 8,
         max_delay_ms: 1,
         window: 4,

@@ -89,7 +89,6 @@ fn cluster_config(
         groups: 1,
         storage_dir: storage,
         fsync: false,
-        fsync_window_ms: 0,
         max_batch: 1,
         max_delay_ms: 0,
         window: 0,

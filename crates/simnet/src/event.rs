@@ -78,6 +78,7 @@ impl<M> EventQueue<M> {
         self.heap.pop().map(|e| (e.at, e.ev))
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }

@@ -317,16 +317,6 @@ impl Metrics {
         self.records.entry(name).or_default().record(value);
     }
 
-    /// The named log-scale histogram, if any samples were recorded.
-    pub fn record_histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.records.get(name)
-    }
-
-    /// All log-scale histograms, in name order.
-    pub fn record_histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> {
-        self.records.iter().map(|(&k, v)| (k, v))
-    }
-
     /// Appends a point to the named timeline.
     pub fn timeline_push(&mut self, name: &'static str, t: SimTime, v: f64) {
         self.timelines.entry(name).or_default().push(t, v);

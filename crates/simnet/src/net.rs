@@ -227,6 +227,7 @@ impl NetworkState {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn set_default(&mut self, cfg: NetConfig) {
         self.default = cfg;
     }

@@ -33,29 +33,16 @@ use crate::transport::{Clock, StorageBackend, Transport, TransportEvent};
 use crate::wire::{self, Wire};
 
 /// Tuning for a [`NodeRuntime`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RuntimeConfig {
     /// Seed for the actor's deterministic RNG (protocol randomness such as
     /// retry jitter; real-runtime scheduling is of course not seeded).
     pub seed: u64,
-    /// Longest single transport wait; shorter waits are used when a timer
-    /// is due sooner. Bounds how late a timer can fire.
-    pub poll_slice: Duration,
-    /// Call [`StorageBackend::sync`] after every batch of dirty keys. Turn
-    /// off only when the backend is allowed to lose acknowledged writes
-    /// (benchmarks, tests).
-    pub sync_writes: bool,
 }
 
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            seed: 0,
-            poll_slice: Duration::from_millis(5),
-            sync_writes: true,
-        }
-    }
-}
+/// Longest single transport wait; shorter waits are used when a timer is
+/// due sooner. Bounds how late a timer can fire.
+const POLL_SLICE: Duration = Duration::from_millis(5);
 
 /// Most transport events one drain pass dispatches before it flushes:
 /// bounds how long the pass holds its first frame's reply, and keeps a
@@ -88,7 +75,6 @@ pub struct NodeRuntime<A: Actor> {
     cancelled: BTreeSet<TimerId>,
     selfq: VecDeque<A::Msg>,
     emit_scratch: Vec<Emit<A::Msg>>,
-    cfg: RuntimeConfig,
     started: bool,
 }
 
@@ -135,7 +121,6 @@ where
             cancelled: BTreeSet::new(),
             selfq: VecDeque::new(),
             emit_scratch: Vec::new(),
-            cfg,
             started: false,
         }
     }
@@ -201,7 +186,7 @@ where
 
         // Nothing is dispatched before the poll, so the pass never blocks
         // while it holds unflushed effects.
-        let mut wait = max_wait.min(self.cfg.poll_slice);
+        let mut wait = max_wait.min(POLL_SLICE);
         if !self.selfq.is_empty() {
             wait = Duration::ZERO;
         }
@@ -416,11 +401,9 @@ where
                 .apply(key, value)
                 .unwrap_or_else(|e| panic!("storage backend failed writing {key:?}: {e}"));
         }
-        if self.cfg.sync_writes {
-            self.backend
-                .sync()
-                .unwrap_or_else(|e| panic!("storage backend failed to sync: {e}"));
-        }
+        self.backend
+            .sync()
+            .unwrap_or_else(|e| panic!("storage backend failed to sync: {e}"));
         self.metrics.incr("rt.storage_flushes", 1);
         self.metrics
             .incr("rt.storage_keys_written", dirty.len() as u64);
@@ -542,10 +525,7 @@ mod tests {
             hub.endpoint(NodeId(id)),
             MemStorage,
             StableStore::new(),
-            RuntimeConfig {
-                poll_slice: Duration::from_millis(1),
-                ..RuntimeConfig::default()
-            },
+            RuntimeConfig::default(),
         )
     }
 
@@ -584,10 +564,7 @@ mod tests {
             NullTransport,
             MemStorage,
             StableStore::new(),
-            RuntimeConfig {
-                poll_slice: Duration::from_micros(100),
-                ..RuntimeConfig::default()
-            },
+            RuntimeConfig::default(),
         );
         rt.step(Duration::from_micros(100));
         assert!(!rt.actor().timer_fired, "clock has not moved");

@@ -215,11 +215,6 @@ impl<A: Actor> Sim<A> {
         self.net.heal_all();
     }
 
-    /// Replaces the default network configuration for future sends.
-    pub fn set_net(&mut self, cfg: NetConfig) {
-        self.net.set_default(cfg);
-    }
-
     /// Overrides the configuration of one (bidirectional) link.
     pub fn set_link(&mut self, a: NodeId, b: NodeId, cfg: NetConfig) {
         self.net.set_link(a, b, cfg);
@@ -285,17 +280,6 @@ impl<A: Actor> Sim<A> {
     /// Enables trace recording (off by default).
     pub fn enable_trace(&mut self) {
         self.trace.set_enabled(true);
-    }
-
-    /// The simulation's RNG, for harness-level randomness that must stay
-    /// deterministic.
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
-    /// Number of events waiting in the queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Processes the next event, if any. Returns `false` when the queue is

@@ -42,11 +42,6 @@ impl Trace {
         self.enabled = enabled;
     }
 
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a line if enabled, evicting the oldest line when full.
     pub fn record(&mut self, now: SimTime, node: NodeId, line: impl FnOnce() -> String) {
         if !self.enabled {

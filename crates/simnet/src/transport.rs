@@ -464,14 +464,6 @@ pub struct TcpConfig {
     pub listen: Option<SocketAddr>,
     /// Peers to keep an outbound connection to (reconnecting with backoff).
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// First reconnect delay; doubles per attempt up to `reconnect_max`.
-    pub reconnect_min: Duration,
-    /// Reconnect delay ceiling.
-    pub reconnect_max: Duration,
-    /// Per-peer egress queue capacity, in frames; sends beyond it drop.
-    pub queue_capacity: usize,
-    /// Largest accepted frame payload, bytes.
-    pub max_frame: u32,
     /// Registry to publish the transport's `net.*` series into (DESIGN
     /// §9); `None` records nothing.
     pub telemetry: Option<Registry>,
@@ -490,10 +482,6 @@ impl TcpConfig {
             me,
             listen: None,
             peers: Vec::new(),
-            reconnect_min: Duration::from_millis(50),
-            reconnect_max: Duration::from_secs(2),
-            queue_capacity: 4096,
-            max_frame: 64 << 20,
             telemetry: None,
             corrupt_frames: Vec::new(),
         }
@@ -574,6 +562,14 @@ const VERSION: u16 = 1;
 const READ_SLICE: Duration = Duration::from_millis(100);
 /// How long writer threads wait for the next frame before re-checking stop.
 const WRITE_SLICE: Duration = Duration::from_millis(100);
+/// First reconnect delay; doubles per attempt up to [`RECONNECT_MAX`].
+const RECONNECT_MIN: Duration = Duration::from_millis(50);
+/// Reconnect delay ceiling.
+const RECONNECT_MAX: Duration = Duration::from_secs(2);
+/// Per-peer egress queue capacity, in frames; sends beyond it drop.
+const QUEUE_CAPACITY: usize = 4096;
+/// Largest accepted frame payload, bytes.
+const MAX_FRAME: u32 = 64 << 20;
 
 type InboundMap = Arc<Mutex<HashMap<NodeId, (u64, SyncSender<Vec<u8>>)>>>;
 
@@ -662,8 +658,6 @@ impl TcpTransport {
                     events: events_tx.clone(),
                     inbound: Arc::clone(&inbound),
                     stop: Arc::clone(&stop),
-                    queue_capacity: cfg.queue_capacity,
-                    max_frame: cfg.max_frame,
                     frame_errors: stats.as_ref().map(|s| s.frame_errors.clone()),
                 };
                 threads.push(
@@ -682,7 +676,7 @@ impl TcpTransport {
             if peer == cfg.me {
                 continue;
             }
-            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(cfg.queue_capacity);
+            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(QUEUE_CAPACITY);
             outbound.insert(peer, tx);
             let gauges = cfg.telemetry.as_ref().map(|r| QueueGauges::new(r, peer));
             if let Some(g) = &gauges {
@@ -694,9 +688,6 @@ impl TcpTransport {
                 addr,
                 events: events_tx.clone(),
                 stop: Arc::clone(&stop),
-                reconnect_min: cfg.reconnect_min,
-                reconnect_max: cfg.reconnect_max,
-                max_frame: cfg.max_frame,
                 stats: stats.clone(),
                 gauges,
             };
@@ -813,8 +804,6 @@ struct Acceptor {
     events: Sender<TransportEvent>,
     inbound: InboundMap,
     stop: Arc<AtomicBool>,
-    queue_capacity: usize,
-    max_frame: u32,
     frame_errors: Option<Counter>,
 }
 
@@ -838,7 +827,7 @@ impl Acceptor {
             // Give the peer a reply path over this same connection: one
             // writer thread draining a bounded queue. Newer connections
             // replace older entries (the peer restarted).
-            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(self.queue_capacity);
+            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(QUEUE_CAPACITY);
             lock(&self.inbound).insert(peer, (conn_id, tx));
             let writer_stream = match stream.try_clone() {
                 Ok(s) => s,
@@ -859,7 +848,6 @@ impl Acceptor {
                 events: self.events.clone(),
                 inbound: Arc::clone(&self.inbound),
                 stop: Arc::clone(&self.stop),
-                max_frame: self.max_frame,
                 frame_errors: self.frame_errors.clone(),
             };
             readers.push(
@@ -883,7 +871,6 @@ struct InboundReader {
     events: Sender<TransportEvent>,
     inbound: InboundMap,
     stop: Arc<AtomicBool>,
-    max_frame: u32,
     frame_errors: Option<Counter>,
 }
 
@@ -894,7 +881,6 @@ impl InboundReader {
             self.peer,
             &self.events,
             &self.stop,
-            self.max_frame,
             self.frame_errors.as_ref(),
         );
         // Drop the reply path, but only if it is still ours — the peer may
@@ -922,9 +908,6 @@ struct Connector {
     addr: SocketAddr,
     events: Sender<TransportEvent>,
     stop: Arc<AtomicBool>,
-    reconnect_min: Duration,
-    reconnect_max: Duration,
-    max_frame: u32,
     stats: Option<NetStats>,
     gauges: Option<QueueGauges>,
 }
@@ -932,7 +915,7 @@ struct Connector {
 impl Connector {
     fn run(self, rx: Receiver<Vec<u8>>) {
         let mut readers: Vec<JoinHandle<()>> = Vec::new();
-        let mut backoff = self.reconnect_min;
+        let mut backoff = RECONNECT_MIN;
         let mut ever_connected = false;
         while !self.stop.load(Ordering::SeqCst) {
             let stream =
@@ -946,11 +929,11 @@ impl Connector {
                 Ok(s) => s,
                 Err(_) => {
                     self.sleep_backoff(backoff);
-                    backoff = (backoff * 2).min(self.reconnect_max);
+                    backoff = (backoff * 2).min(RECONNECT_MAX);
                     continue;
                 }
             };
-            backoff = self.reconnect_min;
+            backoff = RECONNECT_MIN;
             if ever_connected {
                 if let Some(s) = &self.stats {
                     s.reconnects.add(1);
@@ -964,20 +947,12 @@ impl Connector {
                 let events = self.events.clone();
                 let stop = Arc::clone(&self.stop);
                 let peer = self.peer;
-                let max_frame = self.max_frame;
                 let frame_errors = self.stats.as_ref().map(|s| s.frame_errors.clone());
                 readers.push(
                     std::thread::Builder::new()
                         .name(format!("rsmr-read-{}-{}", self.me, peer))
                         .spawn(move || {
-                            read_loop(
-                                read_stream,
-                                peer,
-                                &events,
-                                &stop,
-                                max_frame,
-                                frame_errors.as_ref(),
-                            )
+                            read_loop(read_stream, peer, &events, &stop, frame_errors.as_ref())
                         })
                         .expect("spawn reader"),
                 );
@@ -1021,10 +996,9 @@ fn read_loop(
     peer: NodeId,
     events: &Sender<TransportEvent>,
     stop: &AtomicBool,
-    max_frame: u32,
     frame_errors: Option<&Counter>,
 ) {
-    let mut frames = FrameBuffer::new(max_frame);
+    let mut frames = FrameBuffer::new(MAX_FRAME);
     let mut chunk = [0u8; 64 * 1024];
     loop {
         if stop.load(Ordering::SeqCst) {

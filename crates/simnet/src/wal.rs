@@ -9,7 +9,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::storage::StableStore;
 use crate::telemetry::{Counter, HistogramHandle, Registry};
@@ -143,13 +143,6 @@ pub struct FileStorage {
     log_bytes: u64,
     live_bytes: u64,
     fsync: bool,
-    /// Group commit: defer device syncs so at most one fsync happens per
-    /// window. Zero (the default) syncs on every [`StorageBackend::sync`].
-    sync_window: Duration,
-    /// When the last device sync completed (group-commit bookkeeping).
-    last_fsync: Option<Instant>,
-    /// Bytes were flushed to the OS but not yet synced to the device.
-    pending_sync: bool,
     /// Device syncs issued on the log (observability for tests).
     fsyncs: u64,
     /// Records rejected by the CRC/framing check at load time.
@@ -201,15 +194,10 @@ struct StorageStats {
     fsync_us: HistogramHandle,
     /// One segment clean, µs.
     compaction_us: HistogramHandle,
-    /// `sync()` batches folded into each device sync — the group-commit
-    /// window fill (1 = no batching happened).
-    group_commit_fill: HistogramHandle,
     /// Records rejected at load time by a CRC/framing check. Registered
     /// eagerly so the series exposes as `0` on a healthy node instead of
     /// being absent.
     wal_corrupt_records: Counter,
-    /// Batches deferred so far in the current window.
-    window_syncs: u64,
 }
 
 impl StorageStats {
@@ -218,9 +206,7 @@ impl StorageStats {
             wal_append_bytes: registry.histogram("storage.wal_append_bytes"),
             fsync_us: registry.histogram("storage.fsync_us"),
             compaction_us: registry.histogram("storage.compaction_us"),
-            group_commit_fill: registry.histogram("storage.group_commit_fill"),
             wal_corrupt_records: registry.counter("storage.wal_corrupt_records"),
-            window_syncs: 0,
         }
     }
 }
@@ -313,29 +299,14 @@ impl FileStorage {
             log_bytes: 0,
             live_bytes: 0,
             fsync,
-            sync_window: Duration::ZERO,
-            last_fsync: None,
-            pending_sync: false,
             fsyncs: 0,
             corrupt_records: 0,
             stats: None,
         })
     }
 
-    /// Enables group commit: [`StorageBackend::sync`] still flushes every
-    /// batch to the OS, but issues at most one device sync per `window`.
-    /// Widens the durability window to at most `window` of acknowledged
-    /// writes on power loss (see OPERATIONS.md); a plain process crash
-    /// loses nothing because the OS holds the flushed bytes. No effect
-    /// when `fsync` is off.
-    pub fn with_sync_window(mut self, window: Duration) -> Self {
-        self.sync_window = window;
-        self
-    }
-
     /// Publishes this store's `storage.*` series (log append bytes, fsync
-    /// latency, segment clean duration, group-commit window fill) into
-    /// `registry`.
+    /// latency, segment clean duration) into `registry`.
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
         self.stats = Some(StorageStats::new(registry));
         self
@@ -412,12 +383,8 @@ impl FileStorage {
         let file = self.active.as_ref().expect("loaded").get_ref();
         file.sync_data()?;
         self.fsyncs += 1;
-        self.last_fsync = Some(Instant::now());
-        self.pending_sync = false;
-        if let Some(s) = &mut self.stats {
+        if let Some(s) = &self.stats {
             s.fsync_us.record(started.elapsed().as_micros() as u64);
-            s.group_commit_fill.record(s.window_syncs + 1);
-            s.window_syncs = 0;
         }
         Ok(())
     }
@@ -446,12 +413,11 @@ impl FileStorage {
                 off += len;
             }
             self.active.as_mut().expect("loaded").flush()?;
-            self.pending_sync = self.fsync;
-        }
-        // What supersedes the oldest segment must reach the device before
-        // it goes, or a power loss could lose a key older than the window.
-        if self.pending_sync {
-            self.sync_device()?;
+            // The copies must reach the device before the oldest segment
+            // goes, or a power loss could lose a key it held.
+            if self.fsync {
+                self.sync_device()?;
+            }
         }
         std::fs::remove_file(self.segment_path(oldest.id))?;
         if self.fsync {
@@ -538,43 +504,16 @@ impl StorageBackend for FileStorage {
         };
         active.flush()?;
         if self.fsync {
-            let due = self.sync_window.is_zero()
-                || self
-                    .last_fsync
-                    .is_none_or(|at| at.elapsed() >= self.sync_window);
-            if due {
-                self.sync_device()?;
-            } else {
-                // Group commit: the bytes are flushed to the OS; the
-                // device sync rides with a later batch in this window.
-                self.pending_sync = true;
-                if let Some(s) = &mut self.stats {
-                    s.window_syncs += 1;
-                }
-            }
+            self.sync_device()?;
         }
-        // A segment whose device sync was deferred stays active until that
-        // sync has run, so the sync always lands on the right file.
         let active = *self.segments.back().expect("loaded");
-        if active.bytes >= Self::SEGMENT_BYTES && !self.pending_sync {
+        if active.bytes >= Self::SEGMENT_BYTES {
             self.start_segment(active.id + 1)?;
         }
         if self.segments.len() > 1 && self.log_bytes > 2 * self.live_bytes + Self::SEGMENT_BYTES {
             self.clean_oldest()?;
         }
         Ok(())
-    }
-}
-
-impl Drop for FileStorage {
-    /// Close the durability window on clean shutdown: sync any writes
-    /// whose device sync was deferred by group commit.
-    fn drop(&mut self) {
-        if let (true, Some(active)) = (self.pending_sync, self.active.as_mut()) {
-            if active.flush().is_ok() && active.get_ref().sync_data().is_ok() {
-                self.fsyncs += 1;
-            }
-        }
     }
 }
 
@@ -671,33 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_defers_device_syncs_within_the_window() {
-        let dir = scratch_dir("gc-test");
-        {
-            let mut fs = FileStorage::open(&dir, true)
-                .unwrap()
-                .with_sync_window(Duration::from_secs(3600));
-            fs.load().unwrap();
-            assert_eq!(fs.fsyncs(), 0);
-            fs.apply("a", Some(b"1")).unwrap();
-            fs.sync().unwrap();
-            assert_eq!(fs.fsyncs(), 1, "first sync of a window hits the device");
-            for i in 0..50u8 {
-                fs.apply("k", Some(&[i])).unwrap();
-                fs.sync().unwrap();
-            }
-            assert_eq!(fs.fsyncs(), 1, "later syncs in the window are deferred");
-            // Drop closes the window: the deferred bytes are synced.
-        }
-        let mut fs = FileStorage::open(&dir, true).unwrap();
-        let store = fs.load().unwrap();
-        assert_eq!(store.get("a"), Some(&b"1"[..]));
-        assert_eq!(store.get("k"), Some(&[49u8][..]));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn zero_window_syncs_every_batch() {
+    fn fsync_on_syncs_every_batch() {
         let dir = scratch_dir("gc0-test");
         let mut fs = FileStorage::open(&dir, true).unwrap();
         fs.load().unwrap();
@@ -1044,28 +957,24 @@ mod tests {
     }
 
     #[test]
-    fn file_storage_telemetry_records_appends_fsyncs_and_window_fill() {
+    fn file_storage_telemetry_records_appends_and_fsyncs() {
         let dir = scratch_dir("fstel-test");
         let registry = Registry::new();
         {
             let mut fs = FileStorage::open(&dir, true)
                 .unwrap()
-                .with_sync_window(Duration::from_secs(3600))
                 .with_telemetry(&registry);
             fs.load().unwrap();
             fs.apply("a", Some(b"12345")).unwrap();
-            fs.sync().unwrap(); // window opens: device sync, fill = 1
+            fs.sync().unwrap();
             for i in 0..3u8 {
                 fs.apply("k", Some(&[i])).unwrap();
-                fs.sync().unwrap(); // deferred within the window
+                fs.sync().unwrap();
             }
         }
         assert_eq!(histogram(&registry, "storage.wal_append_bytes").count(), 4);
-        // One device sync happened (the window absorbed the rest).
-        assert_eq!(histogram(&registry, "storage.fsync_us").count(), 1);
-        let fill = histogram(&registry, "storage.group_commit_fill");
-        assert_eq!(fill.count(), 1);
-        assert_eq!(fill.max(), Some(1), "the first sync had nothing batched");
+        // Every sync hits the device.
+        assert_eq!(histogram(&registry, "storage.fsync_us").count(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

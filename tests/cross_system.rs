@@ -4,9 +4,9 @@
 //! the design predicts.
 
 use reconfigurable_smr::baselines::{
-    RaftAdmin, RaftClient, RaftNode, RaftTunables, RaftWorld, StwNode, StwTunables, StwWorld,
+    RaftAdmin, RaftClient, RaftNode, RaftTunables, RaftWorld, StwNode, StwWorld,
 };
-use reconfigurable_smr::consensus::StaticConfig;
+use reconfigurable_smr::consensus::{PaxosTunables, StaticConfig};
 use reconfigurable_smr::kvstore::{KeyDist, KvStore, WorkloadGen};
 use reconfigurable_smr::rsmr::harness::World;
 use reconfigurable_smr::rsmr::{AdminActor, RsmrClient, RsmrNode, RsmrTunables};
@@ -86,12 +86,16 @@ fn run_stw(seed: u64) -> (u64, Vec<u8>, u64) {
     for &s in &servers {
         sim.add_node_with_id(
             s,
-            StwWorld::Server(StwNode::genesis(s, genesis.clone(), StwTunables::default())),
+            StwWorld::Server(StwNode::genesis(
+                s,
+                genesis.clone(),
+                PaxosTunables::default(),
+            )),
         );
     }
     sim.add_node_with_id(
         NodeId(3),
-        StwWorld::Server(StwNode::joining(NodeId(3), StwTunables::default())),
+        StwWorld::Server(StwNode::joining(NodeId(3), PaxosTunables::default())),
     );
     sim.add_node_with_id(
         NodeId(100),
