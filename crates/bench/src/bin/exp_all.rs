@@ -31,8 +31,8 @@ use std::time::Instant;
 
 use bench::experiments::{self, chaos_sweep, ExpOutput};
 
-/// One experiment's output (if the id was known) and wall seconds.
-type Slot = std::sync::Mutex<Option<(Option<ExpOutput>, f64)>>;
+/// One experiment's output and wall seconds.
+type Slot = std::sync::Mutex<Option<(ExpOutput, f64)>>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -141,6 +141,14 @@ fn main() {
     } else {
         selected.iter().map(String::as_str).collect()
     };
+    // A typo must fail the run before any experiment does.
+    if let Some(bad) = ids.iter().find(|id| !experiments::ALL.contains(id)) {
+        eprintln!(
+            "unknown experiment id: {bad} (valid: {:?})",
+            experiments::ALL
+        );
+        std::process::exit(2);
+    }
     // The chaos sweep runs outside the experiment pool: it fans its own
     // `(seed, system)` jobs across cores and needs its failing-seed list
     // for the exit code.
@@ -169,12 +177,12 @@ fn main() {
                 let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(&id) = ids.get(i) else { break };
                 let start = Instant::now();
-                let out = experiments::run_structured(id, quick);
+                let out = experiments::run_structured(id, quick).expect("ids were validated");
                 *slots[i].lock().expect("result slot") = Some((out, start.elapsed().as_secs_f64()));
             });
         }
     });
-    let results: Vec<(&str, Option<ExpOutput>, f64)> = ids
+    let results: Vec<(&str, ExpOutput, f64)> = ids
         .iter()
         .zip(slots)
         .map(|(&id, slot)| {
@@ -186,26 +194,18 @@ fn main() {
         })
         .collect();
     for (id, output, secs) in results {
-        match output {
-            Some(output) => {
-                print!("{}", output.rendered);
-                if let Some(dir) = &json_dir {
-                    let path = format!("{dir}/{id}.jsonl");
-                    match std::fs::write(&path, output.to_jsonl(id, quick)) {
-                        Ok(()) => eprintln!("[{id} artifact: {path}]"),
-                        Err(e) => {
-                            eprintln!("cannot write {path}: {e}");
-                            std::process::exit(1);
-                        }
-                    }
+        print!("{}", output.rendered);
+        if let Some(dir) = &json_dir {
+            let path = format!("{dir}/{id}.jsonl");
+            match std::fs::write(&path, output.to_jsonl(id, quick)) {
+                Ok(()) => eprintln!("[{id} artifact: {path}]"),
+                Err(e) => {
+                    eprintln!("cannot write {path}: {e}");
+                    std::process::exit(1);
                 }
-                eprintln!("[{id} done in {secs:.1}s wall]");
             }
-            None => eprintln!(
-                "unknown experiment id: {id} (valid: {:?})",
-                experiments::ALL
-            ),
         }
+        eprintln!("[{id} done in {secs:.1}s wall]");
     }
     let mut failed = false;
     if chaos_selected {

@@ -72,23 +72,17 @@ pub enum RsmrMsg<O, R> {
         /// Its member set.
         members: Vec<NodeId>,
     },
-    /// Joining member → finalized member: send me the base state anchoring
-    /// `epoch`.
-    TransferRequest {
-        /// The epoch whose base is requested.
-        epoch: Epoch,
-    },
-    /// Response to [`RsmrMsg::TransferRequest`]. `base` is `None` when the
-    /// responder has not finalized the predecessor epoch yet (retry later).
+    /// Stop-the-world baseline: a whole base state pushed in one message.
+    /// The composed replica ignores it; it takes bases only through the
+    /// chunked [`RsmrMsg::ManifestRequest`] protocol.
     TransferReply {
-        /// Echo of the requested epoch.
+        /// The epoch the base anchors.
         epoch: Epoch,
         /// The encoded [`crate::BaseState`], if available.
         base: Option<Vec<u8>>,
     },
-    /// Acknowledges an installed base state. Unused by the speculative
-    /// composition (which pulls); the stop-the-world baseline pushes bases
-    /// and blocks on these acks.
+    /// Stop-the-world baseline: acknowledges a pushed base state, which
+    /// the pusher blocks on. Unused by the composed replica.
     TransferAck {
         /// The epoch whose base was installed.
         epoch: Epoch,
@@ -154,7 +148,6 @@ where
             RsmrMsg::Reconfigure { .. } => "rsmr.reconfigure",
             RsmrMsg::ReconfigureReply { .. } => "rsmr.reconfigure_reply",
             RsmrMsg::Activate { .. } => "rsmr.activate",
-            RsmrMsg::TransferRequest { .. } => "rsmr.transfer_req",
             RsmrMsg::TransferReply { .. } => "rsmr.transfer_reply",
             RsmrMsg::TransferAck { .. } => "rsmr.transfer_ack",
             RsmrMsg::Nominate { .. } => "rsmr.nominate",
@@ -174,7 +167,6 @@ where
             RsmrMsg::Reconfigure { members } => 16 + members.len() * 8,
             RsmrMsg::ReconfigureReply { .. } => 32,
             RsmrMsg::Activate { members, .. } => 16 + members.len() * 8,
-            RsmrMsg::TransferRequest { .. } => 16,
             RsmrMsg::TransferReply { base, .. } => 16 + base.as_ref().map(Vec::len).unwrap_or(0),
             RsmrMsg::TransferAck { .. } => 16,
             RsmrMsg::Nominate { .. } => 16,
@@ -241,10 +233,6 @@ impl<O: Wire, R: Wire> Wire for RsmrMsg<O, R> {
                 buf.push(6);
                 epoch.encode(buf);
                 members.encode(buf);
-            }
-            RsmrMsg::TransferRequest { epoch } => {
-                buf.push(7);
-                epoch.encode(buf);
             }
             RsmrMsg::TransferReply { epoch, base } => {
                 buf.push(8);
@@ -319,9 +307,6 @@ impl<O: Wire, R: Wire> Wire for RsmrMsg<O, R> {
                 epoch: Epoch::decode(buf)?,
                 members: Vec::decode(buf)?,
             },
-            7 => RsmrMsg::TransferRequest {
-                epoch: Epoch::decode(buf)?,
-            },
             8 => RsmrMsg::TransferReply {
                 epoch: Epoch::decode(buf)?,
                 base: Option::decode(buf)?,
@@ -387,7 +372,6 @@ mod tests {
                 epoch: Epoch(1),
                 members: vec![],
             },
-            RsmrMsg::TransferRequest { epoch: Epoch(1) },
             RsmrMsg::TransferReply {
                 epoch: Epoch(1),
                 base: None,
@@ -458,7 +442,6 @@ mod tests {
                 epoch: Epoch(6),
                 members: vec![NodeId(4)],
             },
-            RsmrMsg::TransferRequest { epoch: Epoch(6) },
             RsmrMsg::TransferReply {
                 epoch: Epoch(6),
                 base: Some(vec![1, 2, 3]),
@@ -496,6 +479,10 @@ mod tests {
             assert_eq!(format!("{back:?}"), format!("{msg:?}"));
         }
         assert!(from_bytes::<RsmrMsg<u64, u64>>(&[200]).is_none());
+        // Tag 7, a retired monolithic transfer request, no longer decodes.
+        let mut retired = vec![7];
+        Epoch(6).encode(&mut retired);
+        assert!(from_bytes::<RsmrMsg<u64, u64>>(&retired).is_none());
         // The grouped envelope composes with the codec.
         let grouped = simnet::Grouped {
             group: simnet::GroupId(3),

@@ -84,6 +84,16 @@ struct Instance<O: CmdOp> {
     retire_at: Option<SimTime>,
 }
 
+impl<O: CmdOp> Instance<O> {
+    fn new(paxos: MultiPaxos<Cmd<O>>) -> Self {
+        Instance {
+            paxos,
+            closed: None,
+            retire_at: None,
+        }
+    }
+}
+
 /// Shorthand for the operation-type bounds.
 trait CmdOp: Clone + std::fmt::Debug + PartialEq + simnet::wire::Wire + 'static {}
 impl<T: Clone + std::fmt::Debug + PartialEq + simnet::wire::Wire + 'static> CmdOp for T {}
@@ -147,8 +157,6 @@ struct CachedPage {
     bytes: Arc<Vec<u8>>,
 }
 
-/// Legacy monolithic base key; still read as a recovery fallback.
-const KEY_BASE: &str = "base/latest";
 /// Per-page persistence: `(epoch, page count, header)` metadata…
 const KEY_BASE_META: &str = "base/meta";
 /// …plus one key per snapshot page; only dirty pages are re-put.
@@ -227,7 +235,7 @@ pub struct RsmrNode<S: StateMachine> {
     persisted_versions: Vec<Option<u64>>,
 
     /// Requests this node proposed and owes replies for.
-    waiting: BTreeMap<(NodeId, u64), ()>,
+    waiting: BTreeSet<(NodeId, u64)>,
     /// Requests parked while a reconfiguration this node proposed is in
     /// flight; flushed into the successor epoch.
     handoff: VecDeque<(NodeId, u64, S::Op)>,
@@ -290,44 +298,9 @@ impl<S: StateMachine> RsmrNode<S> {
     pub fn genesis_with(me: NodeId, initial: StaticConfig, tun: RsmrTunables, sm: S) -> Self {
         assert!(initial.contains(me), "{me} is not in the genesis config");
         let chain = ConfigChain::genesis(initial.clone());
-        let mut node = RsmrNode {
-            me,
-            tun: tun.clone(),
-            chain: Some(chain),
-            instances: BTreeMap::new(),
-            sm,
-            sessions: SessionTable::new(),
-            anchor: Some(Anchor {
-                epoch: Epoch::ZERO,
-                next_slot: Slot::ZERO,
-            }),
-            buffers: BTreeMap::new(),
-            sealed_at: BTreeMap::new(),
-            bases: BTreeMap::new(),
-            serve_plans: BTreeMap::new(),
-            page_cache: Vec::new(),
-            compact_cursor: 0,
-            persisted_versions: Vec::new(),
-            waiting: BTreeMap::new(),
-            handoff: VecDeque::new(),
-            closing: None,
-            pending_transfer: None,
-            stashed: BTreeMap::new(),
-            stash_since: BTreeMap::new(),
-            batch_tail: Vec::new(),
-            reclaim: BTreeSet::new(),
-            anchor_watch: None,
-            applied_count: 0,
-            commit_seen_epoch: None,
-        };
-        node.instances.insert(
-            Epoch::ZERO,
-            Instance {
-                paxos: MultiPaxos::new(me, initial, SimTime::ZERO, tun.paxos),
-                closed: None,
-                retire_at: None,
-            },
-        );
+        let mut node = Self::new(me, tun, sm, Some((Epoch::ZERO, chain)));
+        let paxos = MultiPaxos::new(me, initial, SimTime::ZERO, node.tun.paxos.clone());
+        node.instances.insert(Epoch::ZERO, Instance::new(paxos));
         let (genesis_base, _, _) = node.capture_base(Epoch::ZERO);
         node.bases.insert(Epoch::ZERO, Arc::new(genesis_base));
         node
@@ -346,33 +319,7 @@ impl<S: StateMachine> RsmrNode<S> {
     /// Creates a joining replica with an explicit placeholder state (which
     /// is replaced wholesale when the base state arrives).
     pub fn joining_with(me: NodeId, tun: RsmrTunables, placeholder: S) -> Self {
-        RsmrNode {
-            me,
-            tun,
-            chain: None,
-            instances: BTreeMap::new(),
-            sm: placeholder,
-            sessions: SessionTable::new(),
-            anchor: None,
-            buffers: BTreeMap::new(),
-            sealed_at: BTreeMap::new(),
-            bases: BTreeMap::new(),
-            serve_plans: BTreeMap::new(),
-            page_cache: Vec::new(),
-            compact_cursor: 0,
-            persisted_versions: Vec::new(),
-            waiting: BTreeMap::new(),
-            handoff: VecDeque::new(),
-            closing: None,
-            pending_transfer: None,
-            stashed: BTreeMap::new(),
-            stash_since: BTreeMap::new(),
-            batch_tail: Vec::new(),
-            reclaim: BTreeSet::new(),
-            anchor_watch: None,
-            applied_count: 0,
-            commit_seen_epoch: None,
-        }
+        Self::new(me, tun, placeholder, None)
     }
 
     /// Rebuilds a replica after a crash from its stable storage: the last
@@ -384,47 +331,10 @@ impl<S: StateMachine> RsmrNode<S> {
         let sm = S::restore_pages(&base.pages)?;
         let anchor_epoch = base.epoch;
         let chain = base.chain.clone();
-        let mut node = RsmrNode {
-            me,
-            tun: tun.clone(),
-            chain: Some(chain.clone()),
-            instances: BTreeMap::new(),
-            sm,
-            sessions: base.sessions.clone(),
-            anchor: Some(Anchor {
-                epoch: anchor_epoch,
-                next_slot: Slot::ZERO,
-            }),
-            buffers: BTreeMap::new(),
-            sealed_at: BTreeMap::new(),
-            bases: BTreeMap::new(),
-            serve_plans: BTreeMap::new(),
-            page_cache: Vec::new(),
-            compact_cursor: 0,
-            persisted_versions: Vec::new(),
-            waiting: BTreeMap::new(),
-            handoff: VecDeque::new(),
-            closing: None,
-            pending_transfer: None,
-            stashed: BTreeMap::new(),
-            stash_since: BTreeMap::new(),
-            batch_tail: Vec::new(),
-            reclaim: BTreeSet::new(),
-            anchor_watch: None,
-            applied_count: 0,
-            commit_seen_epoch: None,
-        };
-        // The page cache mirrors the recovered base, and those exact pages
-        // are what stable storage holds.
-        node.page_cache = base
-            .pages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| CachedPage {
-                version: node.sm.page_version(i),
-                bytes: Arc::clone(p),
-            })
-            .collect();
+        let mut node = Self::new(me, tun, sm, Some((anchor_epoch, chain.clone())));
+        node.sessions = base.sessions.clone();
+        // Those exact pages are what stable storage holds.
+        node.mirror_pages(&base);
         node.persisted_versions = node.page_cache.iter().map(|c| c.version).collect();
         node.bases.insert(anchor_epoch, Arc::new(base));
         // Rebuild instances (from the anchored epoch onward) whose acceptor
@@ -443,22 +353,53 @@ impl<S: StateMachine> RsmrNode<S> {
                     )
                 })
                 .collect();
-            node.instances.insert(
-                epoch,
-                Instance {
-                    paxos: MultiPaxos::recover(
-                        me,
-                        cfg.clone(),
-                        SimTime::ZERO,
-                        tun.paxos.clone(),
-                        items,
-                    ),
-                    closed: None,
-                    retire_at: None,
-                },
+            let paxos = MultiPaxos::recover(
+                me,
+                cfg.clone(),
+                SimTime::ZERO,
+                node.tun.paxos.clone(),
+                items,
             );
+            node.instances.insert(epoch, Instance::new(paxos));
         }
         Some(node)
+    }
+
+    /// The state every constructor starts from: `sm` anchored at slot 0
+    /// of the epoch in `anchored`, with the chain through it (`None` for
+    /// a joiner, which knows neither yet).
+    fn new(me: NodeId, tun: RsmrTunables, sm: S, anchored: Option<(Epoch, ConfigChain)>) -> Self {
+        let anchor = anchored.as_ref().map(|&(epoch, _)| Anchor {
+            epoch,
+            next_slot: Slot::ZERO,
+        });
+        RsmrNode {
+            me,
+            tun,
+            chain: anchored.map(|(_, chain)| chain),
+            instances: BTreeMap::new(),
+            sm,
+            sessions: SessionTable::new(),
+            anchor,
+            buffers: BTreeMap::new(),
+            sealed_at: BTreeMap::new(),
+            bases: BTreeMap::new(),
+            serve_plans: BTreeMap::new(),
+            page_cache: Vec::new(),
+            compact_cursor: 0,
+            persisted_versions: Vec::new(),
+            waiting: BTreeSet::new(),
+            handoff: VecDeque::new(),
+            closing: None,
+            pending_transfer: None,
+            stashed: BTreeMap::new(),
+            stash_since: BTreeMap::new(),
+            batch_tail: Vec::new(),
+            reclaim: BTreeSet::new(),
+            anchor_watch: None,
+            applied_count: 0,
+            commit_seen_epoch: None,
+        }
     }
 
     // --- Introspection (used by tests, examples and experiments) ---------
@@ -514,19 +455,16 @@ impl<S: StateMachine> RsmrNode<S> {
 
     // --- Internals --------------------------------------------------------
 
-    /// Reads the persisted base state: per-page keys first, falling back
-    /// to the legacy monolithic blob.
+    /// Reads the base state persisted under the per-page keys.
     fn read_persisted_base(store: &StableStore) -> Option<BaseState<S::Output>> {
-        if let Some(meta) = store.get(KEY_BASE_META) {
-            let (epoch, count, header) = wire::from_bytes::<(Epoch, u64, Vec<u8>)>(meta)?;
-            // Not pre-sized: `count` comes from disk and may be corrupt.
-            let mut pages = Vec::new();
-            for i in 0..count as usize {
-                pages.push(Arc::new(store.get(&page_key(i))?.to_vec()));
-            }
-            return BaseState::from_parts(epoch, pages, &header);
+        let meta = store.get(KEY_BASE_META)?;
+        let (epoch, count, header) = wire::from_bytes::<(Epoch, u64, Vec<u8>)>(meta)?;
+        // Not pre-sized: `count` comes from disk and may be corrupt.
+        let mut pages = Vec::new();
+        for i in 0..count as usize {
+            pages.push(Arc::new(store.get(&page_key(i))?.to_vec()));
         }
-        BaseState::decode_bytes(store.get(KEY_BASE)?)
+        BaseState::from_parts(epoch, pages, &header)
     }
 
     /// Captures the base state anchoring `epoch`, reusing cached page
@@ -536,37 +474,55 @@ impl<S: StateMachine> RsmrNode<S> {
     fn capture_base(&mut self, epoch: Epoch) -> (BaseState<S::Output>, u64, u64) {
         let n = self.sm.snapshot_pages();
         self.page_cache.truncate(n);
-        let mut pages = Vec::with_capacity(n);
-        let (mut encoded, mut reused) = (0u64, 0u64);
-        for i in 0..n {
-            let version = self.sm.page_version(i);
-            let hit =
-                version.is_some() && self.page_cache.get(i).is_some_and(|c| c.version == version);
-            if hit {
-                reused += 1;
-                pages.push(Arc::clone(&self.page_cache[i].bytes));
-            } else {
-                encoded += 1;
-                let bytes = Arc::new(self.sm.snapshot_page(i));
-                let entry = CachedPage {
-                    version,
-                    bytes: Arc::clone(&bytes),
-                };
-                if i < self.page_cache.len() {
-                    self.page_cache[i] = entry;
-                } else {
-                    self.page_cache.push(entry);
-                }
-                pages.push(bytes);
-            }
-        }
+        let encoded: u64 = (0..n).map(|i| self.refresh_page(i)).sum();
         let base = BaseState {
             epoch,
-            pages,
+            pages: self
+                .page_cache
+                .iter()
+                .map(|c| Arc::clone(&c.bytes))
+                .collect(),
             sessions: self.sessions.clone(),
             chain: self.chain.clone().expect("anchored nodes have a chain"),
         };
-        (base, encoded, reused)
+        (base, encoded, n as u64 - encoded)
+    }
+
+    /// Re-encodes page `i` into the page cache unless its cached version
+    /// still matches, first filling any gap below `i`. Returns how many
+    /// pages it encoded.
+    fn refresh_page(&mut self, i: usize) -> u64 {
+        let version = self.sm.page_version(i);
+        if version.is_some() && self.page_cache.get(i).is_some_and(|c| c.version == version) {
+            return 0;
+        }
+        let mut encoded = 1;
+        while self.page_cache.len() < i {
+            encoded += self.refresh_page(self.page_cache.len());
+        }
+        let entry = CachedPage {
+            version,
+            bytes: Arc::new(self.sm.snapshot_page(i)),
+        };
+        if i < self.page_cache.len() {
+            self.page_cache[i] = entry;
+        } else {
+            self.page_cache.push(entry);
+        }
+        encoded
+    }
+
+    /// Makes the page cache mirror `base`, whose state `sm` must hold.
+    fn mirror_pages(&mut self, base: &BaseState<S::Output>) {
+        self.page_cache = base
+            .pages
+            .iter()
+            .enumerate()
+            .map(|(i, p)| CachedPage {
+                version: self.sm.page_version(i),
+                bytes: Arc::clone(p),
+            })
+            .collect();
     }
 
     /// Persists `base` under the per-page keys, re-putting only pages
@@ -607,6 +563,38 @@ impl<S: StateMachine> RsmrNode<S> {
             .as_ref()
             .map(|c| c.latest_config().members().to_vec())
             .unwrap_or_default()
+    }
+
+    /// Points `client`'s request `seq` at `leader` among `members`.
+    fn redirect(
+        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
+        client: NodeId,
+        seq: u64,
+        leader: Option<NodeId>,
+        members: Vec<NodeId>,
+    ) {
+        let msg = RsmrMsg::Redirect {
+            seq,
+            leader,
+            members,
+        };
+        ctx.send(client, msg);
+    }
+
+    /// Refuses `admin`'s reconfiguration of `epoch`; `leader` is where to
+    /// retry, if known.
+    fn refuse(
+        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
+        admin: NodeId,
+        epoch: Epoch,
+        leader: Option<NodeId>,
+    ) {
+        let msg = RsmrMsg::ReconfigureReply {
+            epoch,
+            ok: false,
+            leader,
+        };
+        ctx.send(admin, msg);
     }
 
     /// Routes one instance's effects into the world and pumps the apply
@@ -785,7 +773,7 @@ impl<S: StateMachine> RsmrNode<S> {
                 return;
             }
         };
-        if self.waiting.remove(&(client, seq)).is_some() {
+        if self.waiting.remove(&(client, seq)) {
             let members = self.current_members();
             ctx.send(
                 client,
@@ -931,7 +919,7 @@ impl<S: StateMachine> RsmrNode<S> {
             // Re-propose discarded tail commands and flush parked handoff
             // requests into the successor.
             for (client, seq, op) in discarded {
-                if self.waiting.contains_key(&(client, seq)) {
+                if self.waiting.contains(&(client, seq)) {
                     self.submit_to_instance(ctx, successor, client, seq, op);
                 }
             }
@@ -957,42 +945,16 @@ impl<S: StateMachine> RsmrNode<S> {
             // Point parked and in-flight clients at the successor right
             // away — silently dropping them would cost each a full
             // retransmission timeout.
-            let members = successor_cfg.members().to_vec();
-            for (client, seq, _) in discarded {
-                if self.waiting.remove(&(client, seq)).is_some() {
-                    ctx.send(
-                        client,
-                        RsmrMsg::Redirect {
-                            seq,
-                            leader: nominee,
-                            members: members.clone(),
-                        },
-                    );
-                }
+            let mut redirected: Vec<(NodeId, u64)> = discarded
+                .into_iter()
+                .map(|(client, seq, _)| (client, seq))
+                .filter(|request| self.waiting.remove(request))
+                .collect();
+            redirected.extend(self.handoff.drain(..).map(|(client, seq, _)| (client, seq)));
+            redirected.extend(std::mem::take(&mut self.waiting));
+            for (client, seq) in redirected {
+                Self::redirect(ctx, client, seq, nominee, successor_cfg.members().to_vec());
             }
-            let parked: Vec<(NodeId, u64, S::Op)> = self.handoff.drain(..).collect();
-            for (client, seq, _) in parked {
-                ctx.send(
-                    client,
-                    RsmrMsg::Redirect {
-                        seq,
-                        leader: nominee,
-                        members: members.clone(),
-                    },
-                );
-            }
-            let waiting: Vec<(NodeId, u64)> = self.waiting.keys().copied().collect();
-            for (client, seq) in waiting {
-                ctx.send(
-                    client,
-                    RsmrMsg::Redirect {
-                        seq,
-                        leader: nominee,
-                        members: members.clone(),
-                    },
-                );
-            }
-            self.waiting.clear();
         }
 
         // Tell every successor member the new epoch exists and that this
@@ -1054,24 +1016,28 @@ impl<S: StateMachine> RsmrNode<S> {
         {
             return;
         }
-        self.instances.insert(
-            epoch,
-            Instance {
-                paxos: MultiPaxos::new(self.me, cfg.clone(), ctx.now(), self.tun.paxos.clone()),
-                closed: None,
-                retire_at: None,
-            },
-        );
+        let paxos = MultiPaxos::new(self.me, cfg.clone(), ctx.now(), self.tun.paxos.clone());
+        self.instances.insert(epoch, Instance::new(paxos));
         ctx.metrics().incr("rsmr.instances_created", 1);
         // Replay protocol messages that arrived before the instance did.
         self.stash_since.remove(&epoch);
-        if let Some(stash) = self.stashed.remove(&epoch) {
-            for (from, inner) in stash {
-                if let Some(inst) = self.instances.get_mut(&epoch) {
-                    let fx = inst.paxos.on_message(from, inner, ctx.now());
-                    self.process_effects(ctx, epoch, fx);
-                }
-            }
+        for (from, inner) in self.stashed.remove(&epoch).unwrap_or_default() {
+            self.deliver_paxos(ctx, from, epoch, inner);
+        }
+    }
+
+    /// Feeds one building-block message to `epoch`'s instance, if this
+    /// node runs one, and routes the effects.
+    fn deliver_paxos(
+        &mut self,
+        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
+        from: NodeId,
+        epoch: Epoch,
+        inner: consensus::PaxosMsg<Cmd<S::Op>>,
+    ) {
+        if let Some(inst) = self.instances.get_mut(&epoch) {
+            let fx = inst.paxos.on_message(from, inner, ctx.now());
+            self.process_effects(ctx, epoch, fx);
         }
     }
 
@@ -1089,18 +1055,10 @@ impl<S: StateMachine> RsmrNode<S> {
         let (fx, outcome) = inst.paxos.propose(Cmd::App { client, seq, op }, ctx.now());
         match outcome {
             ProposeOutcome::Accepted => {
-                self.waiting.insert((client, seq), ());
+                self.waiting.insert((client, seq));
             }
             ProposeOutcome::NotLeader(leader) => {
-                let members = self.current_members();
-                ctx.send(
-                    client,
-                    RsmrMsg::Redirect {
-                        seq,
-                        leader,
-                        members,
-                    },
-                );
+                Self::redirect(ctx, client, seq, leader, self.current_members());
             }
         }
         self.process_effects(ctx, epoch, fx);
@@ -1172,14 +1130,8 @@ impl<S: StateMachine> RsmrNode<S> {
         if let Some(chain) = &self.chain {
             let latest = chain.latest_config();
             if !latest.contains(self.me) {
-                ctx.send(
-                    client,
-                    RsmrMsg::Redirect {
-                        seq,
-                        leader: latest.members().first().copied(),
-                        members: latest.members().to_vec(),
-                    },
-                );
+                let nominee = latest.members().first().copied();
+                Self::redirect(ctx, client, seq, nominee, latest.members().to_vec());
                 return;
             }
         }
@@ -1201,19 +1153,8 @@ impl<S: StateMachine> RsmrNode<S> {
         let Some(active) = self.active_epoch() else {
             return;
         };
-        let refuse = |this: &Self, ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>, leader| {
-            ctx.send(
-                admin,
-                RsmrMsg::ReconfigureReply {
-                    epoch: active,
-                    ok: false,
-                    leader,
-                },
-            );
-            let _ = this;
-        };
         if members.is_empty() {
-            refuse(self, ctx, None);
+            Self::refuse(ctx, admin, active, None);
             return;
         }
         // Idempotence: asking for the configuration we already have (e.g. an
@@ -1241,14 +1182,13 @@ impl<S: StateMachine> RsmrNode<S> {
             // timer resends once the roll has landed, instead of bouncing
             // off refusals until then.
             if closing.admin.is_some() {
-                refuse(self, ctx, Some(self.me));
+                Self::refuse(ctx, admin, active, Some(self.me));
             }
             return;
         }
         let inst = self.instances.get_mut(&active).expect("active exists");
         if !inst.paxos.is_leader() {
-            let hint = inst.paxos.leader_hint();
-            refuse(self, ctx, hint);
+            Self::refuse(ctx, admin, active, inst.paxos.leader_hint());
             return;
         }
         let (fx, outcome) = inst.paxos.propose(Cmd::Reconfigure { members }, ctx.now());
@@ -1265,16 +1205,7 @@ impl<S: StateMachine> RsmrNode<S> {
                     .timeline_push("rsmr.reconfig_proposed", now, active.0 as f64);
                 ctx.emit_event(DomainEvent::ReconfigProposed { epoch: active.0 });
             }
-            ProposeOutcome::NotLeader(leader) => {
-                ctx.send(
-                    admin,
-                    RsmrMsg::ReconfigureReply {
-                        epoch: active,
-                        ok: false,
-                        leader,
-                    },
-                );
-            }
+            ProposeOutcome::NotLeader(leader) => Self::refuse(ctx, admin, active, leader),
         }
         self.process_effects(ctx, active, fx);
     }
@@ -1288,7 +1219,7 @@ impl<S: StateMachine> RsmrNode<S> {
     ) {
         let cfg = StaticConfig::new(members);
         match (&mut self.chain, self.anchor) {
-            (Some(chain), Some(anchor)) => {
+            (Some(chain), Some(_)) => {
                 // An existing member learning about the successor (possibly
                 // before its own pump closes the predecessor).
                 if chain.config(epoch).is_none() {
@@ -1307,7 +1238,6 @@ impl<S: StateMachine> RsmrNode<S> {
                 // If our anchor can no longer reach `epoch` locally (the
                 // predecessor instance is gone from the network), fall back
                 // to transfer. Detected lazily in tick; nothing to do here.
-                let _ = anchor;
             }
             _ => {
                 // A joining member: participate immediately (buffer
@@ -1368,84 +1298,38 @@ impl<S: StateMachine> RsmrNode<S> {
         } else {
             None
         };
+        ctx.metrics().incr("rsmr.transfer_requests", 1);
+        ctx.emit_event(DomainEvent::TransferRequested {
+            epoch: epoch.0,
+            provider,
+        });
+        self.arm_transfer(ctx, epoch, provider, pool, since);
+    }
+
+    /// Arms a transfer of `epoch` from scratch, with donor pool
+    /// `candidates`, and asks `provider` for the manifest against
+    /// watermark `since`.
+    fn arm_transfer(
+        &mut self,
+        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
+        epoch: Epoch,
+        provider: NodeId,
+        candidates: Vec<NodeId>,
+        since: Option<u64>,
+    ) {
         self.pending_transfer = Some(PendingTransfer {
             epoch,
             provider,
             last_request: ctx.now(),
             attempts: 0,
-            candidates: pool,
+            candidates,
             since,
             assembly: None,
             inflight: Vec::new(),
             requested: BTreeSet::new(),
             progress_at: ctx.now(),
         });
-        ctx.metrics().incr("rsmr.transfer_requests", 1);
-        ctx.emit_event(DomainEvent::TransferRequested {
-            epoch: epoch.0,
-            provider,
-        });
         ctx.send(provider, RsmrMsg::ManifestRequest { epoch, since });
-    }
-
-    /// Donor side, legacy path: serve the whole base as one blob. The
-    /// composed replica no longer *requests* monolithic transfers, but
-    /// keeps serving them (the stop-the-world control and older peers
-    /// depend on the message shape).
-    fn handle_transfer_request(
-        &mut self,
-        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
-        from: NodeId,
-        epoch: Epoch,
-    ) {
-        let base = self.bases.get(&epoch).map(|b| b.encode_bytes());
-        if let Some(bytes) = base.as_ref() {
-            ctx.metrics().incr("rsmr.transfers_served", 1);
-            ctx.metrics()
-                .incr("rsmr.transfer_bytes", bytes.len() as u64);
-            ctx.emit_event(DomainEvent::TransferServed {
-                epoch: epoch.0,
-                to: from,
-                bytes: bytes.len() as u64,
-            });
-        }
-        ctx.send(from, RsmrMsg::TransferReply { epoch, base });
-    }
-
-    /// Legacy joiner path kept for robustness: a monolithic reply (e.g.
-    /// from an old donor) still installs.
-    fn handle_transfer_reply(
-        &mut self,
-        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
-        epoch: Epoch,
-        base: Option<Vec<u8>>,
-    ) {
-        let Some(pt) = &self.pending_transfer else {
-            return;
-        };
-        if pt.epoch != epoch {
-            return;
-        }
-        let Some(bytes) = base else {
-            return; // provider not ready; the tick timer will retry
-        };
-        let Some(base) = BaseState::<S::Output>::decode_bytes(&bytes) else {
-            ctx.metrics().incr("rsmr.transfer_decode_failures", 1);
-            return;
-        };
-        let Some(sm) = S::restore_pages(&base.pages) else {
-            ctx.metrics().incr("rsmr.transfer_decode_failures", 1);
-            return;
-        };
-        // Never regress the anchor.
-        if let Some(anchor) = self.anchor {
-            if anchor.epoch >= epoch {
-                self.pending_transfer = None;
-                return;
-            }
-        }
-        self.sm = sm;
-        self.install_base(ctx, base);
     }
 
     /// Donor side: build (or reuse) the transfer plan for `from` and
@@ -1702,7 +1586,7 @@ impl<S: StateMachine> RsmrNode<S> {
         };
         if !header_ok {
             ctx.metrics().incr("rsmr.transfer_decode_failures", 1);
-            self.restart_transfer(ctx, pt.epoch, pt.provider, pt.candidates, None);
+            self.arm_transfer(ctx, pt.epoch, pt.provider, pt.candidates, None);
             return;
         }
         match manifest.mode {
@@ -1714,23 +1598,22 @@ impl<S: StateMachine> RsmrNode<S> {
                 });
                 let Some((sm, base)) = assembled else {
                     ctx.metrics().incr("rsmr.transfer_decode_failures", 1);
-                    self.restart_transfer(ctx, pt.epoch, pt.provider, pt.candidates, None);
+                    self.arm_transfer(ctx, pt.epoch, pt.provider, pt.candidates, None);
                     return;
                 };
                 self.sm = sm;
                 self.install_base(ctx, base);
             }
-            TransferMode::Delta { since } => {
+            TransferMode::Delta { .. } => {
                 let owned: Vec<Vec<u8>> = chunks.iter().map(|c| (**c).clone()).collect();
                 if !self.sm.apply_delta(&owned) {
                     // Malformed or unusable delta: fall back to a full
                     // transfer (drop the watermark so the next manifest
                     // is `Full`).
                     ctx.metrics().incr("transfer.delta_fallbacks", 1);
-                    self.restart_transfer(ctx, pt.epoch, pt.provider, pt.candidates, None);
+                    self.arm_transfer(ctx, pt.epoch, pt.provider, pt.candidates, None);
                     return;
                 }
-                let _ = since;
                 // Re-derive the pages from the now-complete state so this
                 // replica can serve, seal and persist like any other.
                 let n = self.sm.snapshot_pages();
@@ -1743,35 +1626,10 @@ impl<S: StateMachine> RsmrNode<S> {
         }
     }
 
-    /// Re-arms a pending transfer from scratch (new manifest request with
-    /// watermark `since`), keeping the accumulated donor pool.
-    fn restart_transfer(
-        &mut self,
-        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
-        epoch: Epoch,
-        provider: NodeId,
-        candidates: Vec<NodeId>,
-        since: Option<u64>,
-    ) {
-        self.pending_transfer = Some(PendingTransfer {
-            epoch,
-            provider,
-            last_request: ctx.now(),
-            attempts: 0,
-            candidates,
-            since,
-            assembly: None,
-            inflight: Vec::new(),
-            requested: BTreeSet::new(),
-            progress_at: ctx.now(),
-        });
-        ctx.send(provider, RsmrMsg::ManifestRequest { epoch, since });
-    }
-
     /// Anchors this replica on `base` (its state machine must already
-    /// hold the matching application state). Shared by the chunked, delta
-    /// and legacy monolithic install paths. Callers check the
-    /// never-regress rule *before* mutating the state machine.
+    /// hold the matching application state). Shared by the full and delta
+    /// chunked transfers. Callers check the never-regress rule *before*
+    /// mutating the state machine.
     fn install_base(
         &mut self,
         ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
@@ -1785,17 +1643,9 @@ impl<S: StateMachine> RsmrNode<S> {
             epoch,
             next_slot: Slot::ZERO,
         });
-        // The page cache mirrors the installed base; persisting below
-        // re-puts everything (a joiner's storage is behind by definition).
-        self.page_cache = base
-            .pages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| CachedPage {
-                version: self.sm.page_version(i),
-                bytes: Arc::clone(p),
-            })
-            .collect();
+        // Persisting below re-puts every page (a joiner's storage is behind
+        // by definition).
+        self.mirror_pages(&base);
         self.persisted_versions.clear();
         self.persist_base(ctx, &base);
         // Make sure we participate in the anchored epoch.
@@ -1859,31 +1709,7 @@ impl<S: StateMachine> RsmrNode<S> {
                 for _ in 0..COMPACT_PAGES_PER_TICK.min(n) {
                     let i = self.compact_cursor % n;
                     self.compact_cursor = (self.compact_cursor + 1) % n;
-                    let version = self.sm.page_version(i);
-                    let fresh = version.is_some()
-                        && self.page_cache.get(i).is_some_and(|c| c.version == version);
-                    if fresh {
-                        continue;
-                    }
-                    let entry = CachedPage {
-                        version,
-                        bytes: Arc::new(self.sm.snapshot_page(i)),
-                    };
-                    if i < self.page_cache.len() {
-                        self.page_cache[i] = entry;
-                    } else {
-                        // Cursor ahead of the cache: fill the gap lazily.
-                        while self.page_cache.len() < i {
-                            let j = self.page_cache.len();
-                            self.page_cache.push(CachedPage {
-                                version: self.sm.page_version(j),
-                                bytes: Arc::new(self.sm.snapshot_page(j)),
-                            });
-                            refreshed += 1;
-                        }
-                        self.page_cache.push(entry);
-                    }
-                    refreshed += 1;
+                    refreshed += self.refresh_page(i);
                 }
                 if refreshed > 0 {
                     ctx.metrics().incr("transfer.cursor_refreshes", refreshed);
@@ -1987,27 +1813,11 @@ impl<S: StateMachine> RsmrNode<S> {
             let timed_out = now.since(closing.proposed_at) >= consensus::ELECTION_TIMEOUT * 4;
             if !still_leading || timed_out {
                 self.closing = None;
-                let members = self.current_members();
-                let parked: Vec<(NodeId, u64, S::Op)> = self.handoff.drain(..).collect();
-                for (client, seq, _) in parked {
-                    ctx.send(
-                        client,
-                        RsmrMsg::Redirect {
-                            seq,
-                            leader: None,
-                            members: members.clone(),
-                        },
-                    );
+                for (client, seq, _) in std::mem::take(&mut self.handoff) {
+                    Self::redirect(ctx, client, seq, None, self.current_members());
                 }
                 if let Some((admin, _)) = closing.admin {
-                    ctx.send(
-                        admin,
-                        RsmrMsg::ReconfigureReply {
-                            epoch: closing.epoch,
-                            ok: false,
-                            leader: None,
-                        },
-                    );
+                    Self::refuse(ctx, admin, closing.epoch, None);
                 }
             }
         }
@@ -2137,7 +1947,7 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         // Persist the genesis base so crash recovery always has one.
         if let Some(anchor) = self.anchor {
-            if ctx.storage().get(KEY_BASE_META).is_none() && ctx.storage().get(KEY_BASE).is_none() {
+            if ctx.storage().get(KEY_BASE_META).is_none() {
                 if let Some(base) = self.bases.get(&anchor.epoch).cloned() {
                     self.persist_base(ctx, &base);
                 }
@@ -2150,40 +1960,22 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg) {
         match msg {
             RsmrMsg::Paxos { epoch, inner } => {
-                if let Some(inst) = self.instances.get_mut(&epoch) {
-                    let fx = inst.paxos.on_message(from, inner, ctx.now());
-                    self.process_effects(ctx, epoch, fx);
-                } else if self
-                    .chain
-                    .as_ref()
-                    .map(|c| {
-                        c.config(epoch)
-                            .map(|cfg| cfg.contains(self.me))
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or(false)
-                {
-                    // Known epoch we should participate in (e.g. a lost
-                    // Activate): create the instance, then deliver.
-                    let cfg = self
+                if !self.instances.contains_key(&epoch) {
+                    let known = self
                         .chain
                         .as_ref()
                         .and_then(|c| c.config(epoch))
-                        .expect("checked")
-                        .clone();
-                    self.ensure_instance(ctx, epoch, &cfg);
-                    if let Some(inst) = self.instances.get_mut(&epoch) {
-                        let fx = inst.paxos.on_message(from, inner, ctx.now());
-                        self.process_effects(ctx, epoch, fx);
-                    }
-                } else {
-                    // An epoch we have not learned about yet: stash the
-                    // message (bounded) and replay it when the instance is
-                    // created; drop only clearly-stale traffic.
-                    let stale = self.anchor.map(|a| epoch < a.epoch).unwrap_or(false);
-                    if stale {
-                        ctx.metrics().incr("rsmr.unroutable_paxos", 1);
-                    } else {
+                        .filter(|cfg| cfg.contains(self.me))
+                        .cloned();
+                    let Some(cfg) = known else {
+                        // An epoch we have not learned about yet: stash the
+                        // message (bounded) and replay it when the instance
+                        // is created; drop only clearly-stale traffic.
+                        let stale = self.anchor.map(|a| epoch < a.epoch).unwrap_or(false);
+                        if stale {
+                            ctx.metrics().incr("rsmr.unroutable_paxos", 1);
+                            return;
+                        }
                         let stash = self.stashed.entry(epoch).or_default();
                         if stash.len() < 256 {
                             stash.push((from, inner));
@@ -2192,14 +1984,17 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
                         } else {
                             ctx.metrics().incr("rsmr.unroutable_paxos", 1);
                         }
-                    }
+                        return;
+                    };
+                    // Known epoch we should participate in (e.g. a lost
+                    // Activate): create the instance, then deliver.
+                    self.ensure_instance(ctx, epoch, &cfg);
                 }
+                self.deliver_paxos(ctx, from, epoch, inner);
             }
             RsmrMsg::Request { seq, op } => self.handle_request(ctx, from, seq, op),
             RsmrMsg::Reconfigure { members } => self.handle_reconfigure(ctx, from, members),
             RsmrMsg::Activate { epoch, members } => self.handle_activate(ctx, from, epoch, members),
-            RsmrMsg::TransferRequest { epoch } => self.handle_transfer_request(ctx, from, epoch),
-            RsmrMsg::TransferReply { epoch, base } => self.handle_transfer_reply(ctx, epoch, base),
             RsmrMsg::ManifestRequest { epoch, since } => {
                 self.handle_manifest_request(ctx, from, epoch, since)
             }
@@ -2229,6 +2024,7 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
             RsmrMsg::Reply { .. }
             | RsmrMsg::Redirect { .. }
             | RsmrMsg::ReconfigureReply { .. }
+            | RsmrMsg::TransferReply { .. }
             | RsmrMsg::TransferAck { .. } => {
                 // Client/admin-bound traffic (or baseline-only messages)
                 // mis-delivered to a replica.
@@ -2330,7 +2126,7 @@ mod tests {
             if let Cmd::Batch { entries } = &cmd {
                 for e in entries {
                     if let BatchEntry::App { client, seq, .. } = e {
-                        self.node.waiting.insert((*client, *seq), ());
+                        self.node.waiting.insert((*client, *seq));
                     }
                 }
             }
@@ -2445,5 +2241,51 @@ mod tests {
         let a = run_intra_batch_close(7, 4, 2);
         let b = run_intra_batch_close(7, 4, 2);
         assert_eq!(a, b, "same seed, same close point, same final state");
+    }
+
+    /// A joiner installs a base only through the chunked protocol, which
+    /// checks the manifest and every chunk's CRC: a monolithic
+    /// `TransferReply` is ignored, even one carrying a well-formed base
+    /// for the epoch it is waiting on.
+    #[test]
+    fn a_joiner_ignores_a_monolithic_transfer_reply() {
+        let (donor, joiner) = (NodeId(0), NodeId(1));
+        let members = vec![donor, joiner];
+        let mut sim: Sim<RsmrNode<CounterSm>> = Sim::new(1, NetConfig::lan());
+        sim.add_node_with_id(joiner, RsmrNode::joining(joiner, RsmrTunables::default()));
+        // `donor` is not part of the simulation, so it never answers.
+        sim.inject(
+            donor,
+            joiner,
+            RsmrMsg::Activate {
+                epoch: Epoch(1),
+                members: members.clone(),
+            },
+        );
+        sim.run_for(SimDuration::from_millis(50));
+        let node = sim.actor(joiner).expect("up");
+        assert_eq!(node.transfer_provider(), Some(donor), "transfer pending");
+
+        let mut chain = ConfigChain::genesis(StaticConfig::new(vec![donor]));
+        chain.append(Epoch(1), StaticConfig::new(members));
+        let base: BaseState<u64> = BaseState {
+            epoch: Epoch(1),
+            pages: vec![Arc::new(CounterSm::default().snapshot_page(0))],
+            sessions: SessionTable::new(),
+            chain,
+        };
+        sim.inject(
+            donor,
+            joiner,
+            RsmrMsg::TransferReply {
+                epoch: Epoch(1),
+                base: Some(base.encode_bytes()),
+            },
+        );
+        sim.run_for(SimDuration::from_millis(50));
+        let node = sim.actor(joiner).expect("up");
+        assert_eq!(node.anchored_epoch(), None);
+        assert_eq!(node.transfer_provider(), Some(donor), "still pending");
+        assert_eq!(sim.metrics().counter("rsmr.transfers_installed"), 0);
     }
 }

@@ -46,23 +46,15 @@ pub struct BaseState<R> {
 }
 
 impl<R: Wire + Clone> BaseState<R> {
-    /// Serializes the base state for stable storage or a monolithic
-    /// transfer (the stop-the-world control path).
+    /// Serializes the base state for a monolithic transfer (the
+    /// stop-the-world control path).
     pub fn encode_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.encode_into(&mut buf);
+        self.epoch.encode(&mut buf);
+        self.pages.encode(&mut buf);
+        self.sessions.encode(&mut buf);
+        self.chain.encode(&mut buf);
         buf
-    }
-
-    /// Serializes into a caller-owned buffer, clearing it first. Hot paths
-    /// that encode repeatedly pass a scratch buffer so the allocation is
-    /// amortized across calls.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        self.epoch.encode(buf);
-        self.pages.encode(buf);
-        self.sessions.encode(buf);
-        self.chain.encode(buf);
     }
 
     /// Deserializes a base state; `None` on malformed input.
@@ -491,18 +483,6 @@ mod tests {
         b.epoch = Epoch(9); // chain only covers e0..e1
         let bytes = b.encode_bytes();
         assert_eq!(BaseState::<u64>::decode_bytes(&bytes), None);
-    }
-
-    #[test]
-    fn encode_into_reuses_the_buffer_and_matches_encode_bytes() {
-        let b = sample();
-        let mut scratch = vec![9u8; 64]; // stale contents must be cleared
-        b.encode_into(&mut scratch);
-        assert_eq!(scratch, b.encode_bytes());
-        let cap = scratch.capacity();
-        b.encode_into(&mut scratch);
-        assert_eq!(scratch.capacity(), cap, "re-encode must not reallocate");
-        assert_eq!(BaseState::<u64>::decode_bytes(&scratch), Some(b));
     }
 
     #[test]
