@@ -1158,23 +1158,28 @@ impl<S: StateMachine> RsmrNode<S> {
             return;
         }
         // Idempotence: asking for the configuration we already have (e.g. an
-        // admin retrying after its `ok` reply was lost) succeeds immediately.
+        // admin retrying after its `ok` reply was lost) succeeds immediately,
+        // but only from the leader of that epoch's instance. Any other
+        // replica's chain may lag behind a successor that is already live,
+        // and its `ok` would acknowledge a configuration that was replaced.
         let requested = StaticConfig::new(members.clone());
-        if self
+        if let Some(chain) = self
             .chain
             .as_ref()
-            .map(|c| c.latest_config() == &requested)
-            .unwrap_or(false)
+            .filter(|c| c.latest_config() == &requested)
         {
-            let epoch = self.chain.as_ref().expect("checked").latest_epoch();
-            ctx.send(
-                admin,
-                RsmrMsg::ReconfigureReply {
+            let epoch = chain.latest_epoch();
+            let inst = self.instances.get(&epoch);
+            if inst.is_some_and(|i| i.paxos.is_leader()) {
+                let ok = RsmrMsg::ReconfigureReply {
                     epoch,
                     ok: true,
                     leader: None,
-                },
-            );
+                };
+                ctx.send(admin, ok);
+            } else {
+                Self::refuse(ctx, admin, active, inst.and_then(|i| i.paxos.leader_hint()));
+            }
             return;
         }
         if let Some(closing) = &self.closing {

@@ -89,14 +89,16 @@ impl<R: Clone> SessionTable<R> {
     }
 }
 
-impl<R: Wire + Clone> Wire for SessionTable<R> {
+impl<R: Wire> Wire for SessionTable<R> {
+    // The bytes of `Vec<(NodeId, (u64, R))>`, written straight from the
+    // map without cloning the cached replies.
     fn encode(&self, buf: &mut Vec<u8>) {
-        let entries: Vec<(NodeId, (u64, R))> = self
-            .entries
-            .iter()
-            .map(|(&c, (s, r))| (c, (*s, r.clone())))
-            .collect();
-        entries.encode(buf);
+        self.entries.len().encode(buf);
+        for (client, (seq, reply)) in &self.entries {
+            client.encode(buf);
+            seq.encode(buf);
+            reply.encode(buf);
+        }
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         let entries = Vec::<(NodeId, (u64, R))>::decode(buf)?;

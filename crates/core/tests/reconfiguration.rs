@@ -684,3 +684,65 @@ fn an_admin_is_acknowledged_only_for_the_members_it_asked_for() {
     }
     w.assert_invariants();
 }
+
+#[test]
+fn a_lagging_member_does_not_acknowledge_a_stale_configuration() {
+    // n0 is removed (epoch 1 = {1,2,3}) and at once re-added (epoch 2 =
+    // {0,1,2}) while cut off from the others, so its chain still ends at
+    // epoch 1 and its closed epoch-0 instance still serves. An admin
+    // asking n0 for {1,2,3} must not be told that configuration is live:
+    // epoch 2 replaced it and was acknowledged.
+    let mut w = World::new(31, 3);
+    w.add_joiner(NodeId(3));
+    let (n0, rest) = (NodeId(0), [NodeId(1), NodeId(2), NodeId(3)]);
+    let (removed, readded) = (rest.to_vec(), vec![NodeId(0), NodeId(1), NodeId(2)]);
+    let admin_results = |w: &World, admin: NodeId| match w.sim.actor(admin) {
+        Some(Node::Admin(a)) => a.results().to_vec(),
+        _ => unreachable!("admins never crash"),
+    };
+    let run_until_acked = |w: &mut World, admin: NodeId| {
+        for _ in 0..200 {
+            if !admin_results(w, admin).is_empty() {
+                return;
+            }
+            w.sim.run_for(SimDuration::from_millis(5));
+        }
+        panic!("{admin} was never acknowledged");
+    };
+    w.add_admin(vec![(SimTime::from_millis(300), removed.clone())]);
+    run_until_acked(&mut w, ADMIN);
+    w.sim.partition(&[n0], &rest);
+
+    let (readmit, stale) = (NodeId(97), NodeId(98));
+    let now = w.sim.now();
+    w.sim.add_node_with_id(
+        readmit,
+        Node::Admin(AdminActor::new(rest.to_vec(), vec![(now, readded)])),
+    );
+    run_until_acked(&mut w, readmit);
+    let acked = admin_results(&w, readmit)[0].2;
+    let lagging = w.server(n0).unwrap();
+    assert!(lagging.chain().unwrap().latest_epoch() < acked, "n0 lags");
+    assert!(lagging.active_epoch().is_some(), "n0 still serves epoch 0");
+
+    // Ask n0 first; on a refusal the admin tries the others.
+    let now = w.sim.now();
+    let targets = std::iter::once(n0).chain(rest).collect();
+    w.sim.add_node_with_id(
+        stale,
+        Node::Admin(AdminActor::new(targets, vec![(now, removed.clone())])),
+    );
+    w.sim.run_for(SimDuration::from_millis(200));
+    w.sim.heal_all();
+    w.sim.run_for(SimDuration::from_secs(5));
+    let results = admin_results(&w, stale);
+    assert_eq!(results.len(), 1, "the request finished");
+    let epoch = results[0].2;
+    assert!(
+        epoch > acked,
+        "acknowledged at epoch {epoch}, below the acknowledged epoch {acked}"
+    );
+    let chain = w.server(NodeId(1)).unwrap().chain().unwrap().clone();
+    assert_eq!(chain.config(epoch), Some(&StaticConfig::new(removed)));
+    w.assert_invariants();
+}

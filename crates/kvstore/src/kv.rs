@@ -155,13 +155,24 @@ struct Page {
 }
 
 impl Page {
+    /// The bytes of `(version, Vec<(String, u64, Vec<u8>)>)`, written
+    /// straight from the map into a buffer sized once.
     fn encode(&self) -> Vec<u8> {
-        let entries: Vec<(String, u64, Vec<u8>)> = self
+        // Per entry: the key and value with their `u64` lengths, and the stamp.
+        let size: usize = self
             .map
             .iter()
-            .map(|(k, (ver, v))| (k.clone(), *ver, v.clone()))
-            .collect();
-        wire::to_bytes(&(self.version, entries))
+            .map(|(k, (_, v))| 24 + k.len() + v.len())
+            .sum();
+        let mut buf = Vec::with_capacity(16 + size);
+        self.version.encode(&mut buf);
+        self.map.len().encode(&mut buf);
+        for (k, (ver, v)) in &self.map {
+            k.encode(&mut buf);
+            ver.encode(&mut buf);
+            v.encode(&mut buf);
+        }
+        buf
     }
 
     fn decode(index: usize, bytes: &[u8]) -> Option<Self> {
@@ -311,12 +322,14 @@ impl KvStore {
         true
     }
 
+    /// The bytes of `(ops_applied, tombstone_floor, tombstones)`, written
+    /// without cloning the tombstone log.
     fn encode_meta(&self) -> Vec<u8> {
-        wire::to_bytes(&(
-            self.ops_applied,
-            self.tombstone_floor,
-            self.tombstones.clone(),
-        ))
+        let mut buf = Vec::with_capacity(16 + self.tombstones.encoded_size());
+        self.ops_applied.encode(&mut buf);
+        self.tombstone_floor.encode(&mut buf);
+        self.tombstones.encode(&mut buf);
+        buf
     }
 
     fn restore_from_blobs<B: AsRef<[u8]>>(blobs: &[B]) -> Option<Self> {

@@ -114,6 +114,28 @@ pub trait Wire: Sized {
         self.encode(&mut buf);
         buf.len()
     }
+
+    /// Appends the encodings of `items`, back to back: the body of a
+    /// `Vec<Self>` after its length prefix. The default encodes one item
+    /// at a time; `u8` overrides it with one copy of the whole run.
+    fn encode_run(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decodes `len` back-to-back items from the front of `buf`: the body
+    /// of a `Vec<Self>`. The default decodes one item at a time and caps
+    /// its preallocation, so a hostile `len` fails at the end of the input
+    /// instead of allocating for it; `u8` overrides it with one copy,
+    /// after checking that `len` bytes remain.
+    fn decode_run(buf: &mut &[u8], len: usize) -> Option<Vec<Self>> {
+        let mut out = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Some(out)
+    }
 }
 
 /// Encodes a value into a fresh buffer.
@@ -159,7 +181,30 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int!(u8, u16, u32, u64, i64);
+wire_int!(u16, u32, u64, i64);
+
+// Byte runs (values, pages, chunks) are copied, never walked: a
+// `Vec<u8>` is the bulk of every frame and WAL record, and one call per
+// byte cost more than the rest of the codec together.
+impl Wire for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let (&first, rest) = buf.split_first()?;
+        *buf = rest;
+        Some(first)
+    }
+    fn encoded_size(&self) -> usize {
+        1
+    }
+    fn encode_run(items: &[Self], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+    fn decode_run(buf: &mut &[u8], len: usize) -> Option<Vec<Self>> {
+        take(buf, len).map(<[u8]>::to_vec)
+    }
+}
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -207,21 +252,14 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.len().encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_run(self, buf);
     }
     fn encoded_size(&self) -> usize {
         8 + self.iter().map(Wire::encoded_size).sum::<usize>()
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         let len = usize::decode(buf)?;
-        // Guard against hostile lengths: cap the preallocation.
-        let mut out = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Some(out)
+        T::decode_run(buf, len)
     }
 }
 
@@ -445,6 +483,21 @@ mod tests {
         round_trip(Option::<u32>::None);
         round_trip((7u64, String::from("x")));
         round_trip((1u8, 2u16, vec![NodeId(3)]));
+        for len in [0, 1, 70_000] {
+            round_trip((0..len).map(|i| i as u8).collect::<Vec<u8>>());
+        }
+        round_trip(vec![vec![1u8, 2], Vec::new(), vec![3]]);
+        round_trip(std::sync::Arc::new(vec![9u8; 300]));
+        round_trip(Some(vec![4u8, 5, 6]));
+        round_trip(Option::<Vec<u8>>::None);
+    }
+
+    #[test]
+    fn byte_vectors_keep_the_length_prefixed_format() {
+        assert_eq!(
+            to_bytes(&vec![1u8, 2, 3]),
+            [3, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3]
+        );
     }
 
     #[test]
@@ -473,6 +526,12 @@ mod tests {
         let mut bytes = Vec::new();
         (u64::MAX).encode(&mut bytes); // declared length
         assert_eq!(from_bytes::<Vec<u64>>(&bytes), None);
+        assert_eq!(from_bytes::<Vec<u8>>(&bytes), None);
+        // One byte more than remains.
+        let mut bytes = Vec::new();
+        4usize.encode(&mut bytes);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(from_bytes::<Vec<u8>>(&bytes), None);
     }
 
     #[test]
@@ -485,8 +544,8 @@ mod tests {
 
     /// The composite shape the fuzzers mangle — nested enough to exercise
     /// every decoder path (ints, bool/option discriminants, length
-    /// prefixes, UTF-8, tuples).
-    type FuzzTarget = (u64, String, Vec<(NodeId, Option<u32>)>, bool);
+    /// prefixes, UTF-8, tuples, byte runs).
+    type FuzzTarget = (u64, String, Vec<(NodeId, Option<u32>)>, bool, Vec<u8>);
 
     fn fuzz_corpus(rng: &mut crate::SimRng) -> Vec<u8> {
         let n = rng.gen_range(0..4usize);
@@ -500,6 +559,9 @@ mod tests {
                 })
                 .collect(),
             rng.gen_bool(0.5),
+            (0..rng.gen_range(0..12usize))
+                .map(|_| rng.gen_range(0..u64::MAX) as u8)
+                .collect(),
         );
         to_bytes(&v)
     }
